@@ -14,7 +14,7 @@ from typing import Dict
 import numpy as np
 
 from benchmarks.perf._timing import best_of
-from repro.core import LayerCompressionConfig, MVQCompressor, precision
+from repro.core import LayerCompressionConfig, MVQCompressor, cpu, precision
 from repro.nn import Conv2d, Sequential
 from repro.nn.models import resnet18_mini
 
@@ -65,8 +65,6 @@ def run(smoke: bool = False) -> Dict[str, object]:
     cfg = LayerCompressionConfig(k=p["k"], d=p["d"],
                                  max_kmeans_iterations=p["iterations"])
 
-    from repro.core import compressor as compressor_mod
-
     sequential_s = best_of(lambda: _compress(model, cfg), p["repeats"])
     parallel_s = best_of(lambda: _compress(model, cfg, workers=p["workers"]),
                          p["repeats"])
@@ -78,20 +76,20 @@ def run(smoke: bool = False) -> Dict[str, object]:
     # fewer CPUs than workers (where the cap would silently fall back to
     # the sequential path and verify nothing)
     results = {}
-    original_cpus = compressor_mod._available_cpus
-    compressor_mod._available_cpus = lambda: p["workers"]
+    original_cpus = cpu.available_cpus
+    cpu.available_cpus = lambda: p["workers"]
     try:
         for backend in ("thread", "process"):
             par = _compress(model, cfg, workers=p["workers"], backend=backend)
             results[backend] = _identical(seq, par)
     finally:
-        compressor_mod._available_cpus = original_cpus
+        cpu.available_cpus = original_cpus
     subvectors = sum(state.num_subvectors for state in seq)
     return {
         "workload": {"model": model_name,
                      "layers": len(seq),
                      "subvectors": subvectors,
-                     "available_cpus": compressor_mod._available_cpus(),
+                     "available_cpus": cpu.available_cpus(),
                      **{key: p[key] for key in ("k", "d", "iterations", "workers")}},
         "sequential_fp64_s": sequential_s,
         "parallel_fp64_s": parallel_s,

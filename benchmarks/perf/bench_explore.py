@@ -12,7 +12,9 @@ ratios the perf gate tracks:
 Hard correctness gates ride along: the frontier must be non-empty, the
 sweep must reuse cluster results across neighboring candidates (>= 1
 cache hit), the parallel run must produce objective-identical results to
-the sequential one, and the warm re-run must cluster nothing.
+the sequential one, and the warm re-run must cluster nothing.  On hosts
+with two or more CPUs the parallel sweep must also not lose to the
+sequential one (``speedup_parallel_vs_sequential >= 1``).
 
 ``--quick`` runs the smoke-sized search standalone and exits non-zero on
 any hard-gate failure (the CI ``explore-smoke`` job).
@@ -20,6 +22,7 @@ any hard-gate failure (the CI ``explore-smoke`` job).
 
 from __future__ import annotations
 
+import statistics
 import sys
 from pathlib import Path
 from typing import Dict
@@ -30,6 +33,7 @@ if __package__ in (None, ""):  # running as a plain script
         if str(entry) not in sys.path:
             sys.path.insert(0, str(entry))
 
+from repro.core import cpu
 from repro.explore import SearchSpace, explore
 from repro.pipeline.artifacts import ArtifactStore
 
@@ -71,25 +75,24 @@ def _objective_table(result) -> Dict[int, Dict[str, float]]:
 def run(smoke: bool = False) -> Dict[str, object]:
     p = SMOKE if smoke else FULL
     space = _space(p)
-    # smoke sweeps finish in ~0.3s, where shared-runner noise swamps single
-    # samples — report the best of three (matching the other smoke benches)
-    repeats = 3 if smoke else 1
+    # single sweeps (~0.5s smoke, ~1s full) vary by +-20%, the sequential
+    # ones most — report medians (a best-of would favour the noisier side);
+    # sequential and parallel sweeps alternate so a drift in host speed
+    # hits both sides alike
+    repeats = 5 if smoke else 3
 
-    cold_runs = []
+    cold_runs, parallel_runs = [], []
     for _ in range(repeats):
         store = ArtifactStore()
-        cold_runs.append((explore(space, store=store, workers=1), store))
-    cold, store = min(cold_runs, key=lambda rs: rs[0].stats["seconds"])
+        cold_runs.append(explore(space, store=store, workers=1))
+        parallel_runs.append(explore(space, store=ArtifactStore(),
+                                     workers=None))
     warm_runs = [explore(space, store=store, workers=1)
                  for _ in range(repeats)]
-    warm = min(warm_runs, key=lambda r: r.stats["seconds"])
-    parallel_runs = [explore(space, store=ArtifactStore(), workers=None)
-                     for _ in range(repeats)]
-    parallel = min(parallel_runs, key=lambda r: r.stats["seconds"])
-
-    cold_s = cold.stats["seconds"]
-    warm_s = warm.stats["seconds"]
-    parallel_s = parallel.stats["seconds"]
+    cold, parallel, warm = cold_runs[0], parallel_runs[0], warm_runs[0]
+    cold_s, parallel_s, warm_s = (
+        statistics.median(r.stats["seconds"] for r in runs)
+        for runs in (cold_runs, parallel_runs, warm_runs))
     return {
         "workload": {"model": "resnet18", "budget": p["budget"],
                      "grid_size": space.grid_size, "k": p["k"],
@@ -123,6 +126,11 @@ def check_report(report: Dict[str, object]):
         errors.append("warm re-run of the sweep re-clustered layers")
     if not report["parallel_matches_sequential"]:
         errors.append("parallel sweep diverged from sequential results")
+    speedup = report["speedup_parallel_vs_sequential"]
+    cpus = cpu.available_cpus()
+    if cpus >= 2 and speedup < 1.0:
+        errors.append(f"parallel sweep is {speedup:.2f}x the sequential one "
+                      f"on a {cpus}-CPU host (must not be slower)")
     if not report["warm_matches_cold"]:
         errors.append("warm-cache sweep diverged from cold results")
     return errors

@@ -257,8 +257,7 @@ def run_sharded(smoke: bool = False) -> Dict[str, object]:
     plus the arena accounting (``compressed_state_private_bytes`` must be
     zero — the zero-copy claim, gated in CI on any host).
     """
-    import os
-
+    from repro.core import cpu
     from repro.core.telemetry import quantile
     from repro.serve import ProcessReplicaPool
 
@@ -326,7 +325,7 @@ def run_sharded(smoke: bool = False) -> Dict[str, object]:
                      "max_batch_size": max_batch,
                      "max_wait_ms": p["max_wait_ms"]},
         "workers": workers,
-        "cpu_count": os.cpu_count(),
+        "cpu_count": cpu.available_cpus(),
         "smoke": bool(smoke),
         "thread_s": best_thread,
         "thread_sps": n / best_thread,

@@ -36,6 +36,7 @@ from benchmarks.perf import (
     bench_telemetry,
     compare_perf,
 )
+from repro.core import cpu
 
 
 def tracked_smoke_floor(paths) -> dict:
@@ -111,6 +112,9 @@ def main(argv=None) -> int:
         report[name] = runner(smoke=args.smoke)
         print(f"[perf] {name}: done in {time.perf_counter() - start:.2f}s",
               flush=True)
+    # the CPU budget the pools ran under, read after they ran so
+    # granted_workers is populated
+    report["host"] = {"cpu": cpu.policy()}
 
     # the regression gate's scale-free ratios, flattened for easy diffing;
     # --smoke-report additionally embeds the same metrics from smoke runs

@@ -12,7 +12,7 @@ a whole model; :mod:`repro.core.storage` implements the compression-ratio
 accounting of Eq. 7 and the mask look-up-table encoding.
 """
 
-from repro.core import precision
+from repro.core import cpu, precision
 from repro.core.precision import (
     accum_dtype,
     compute_dtype,
@@ -64,6 +64,7 @@ from repro.core.mixed_sparsity import MixedSparsitySearch, LayerSparsityChoice
 from repro.core.serialization import save_compressed_model, load_compressed_model
 
 __all__ = [
+    "cpu",
     "precision",
     "accum_dtype",
     "compute_dtype",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import precision
+from repro.core import cpu, precision
 from repro.core.codebook import Codebook
 from repro.core.grouping import GroupingStrategy, compatible_d, group_weight
 from repro.core.kmeans import kmeans
@@ -51,13 +50,6 @@ PARALLEL_BACKENDS = ("auto", "thread", "process")
 #: real processes over threads: below this the fork/pickle overhead dominates,
 #: above it the GIL-holding portions of the numpy path do
 _PROCESS_BACKEND_WORK_THRESHOLD = 2_000_000
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
-        return os.cpu_count() or 1
 
 
 def _cluster_layer_task(args):
@@ -387,12 +379,11 @@ class MVQCompressor:
         return compressed
 
     def _effective_workers(self, num_layers: int) -> int:
-        """Worker count actually worth using: parallelism beyond the CPUs
-        this process may run on (or the layer count) only adds contention —
-        the root cause of thread pools *losing* to sequential runs."""
+        """Workers to request: more than there are layers only adds
+        contention (:func:`repro.core.cpu.parallel` caps it at the CPUs)."""
         if not self.workers:
             return 1
-        return max(1, min(self.workers, num_layers, _available_cpus()))
+        return max(1, min(self.workers, num_layers))
 
     def _choose_backend(self, tasks) -> str:
         if self.parallel_backend != "auto":
@@ -432,9 +423,11 @@ class MVQCompressor:
           where fork/pickle overhead would dominate.
 
         Layers are scheduled largest-first so one big trailing layer does
-        not serialise the tail of the pool (classic makespan reduction),
-        and the worker count is capped at the CPUs actually available.
-        Returns ``{layer name: KMeansResult}``.
+        not serialise the tail of the pool (classic makespan reduction).
+        The pool runs inside the :func:`repro.core.cpu.parallel` budget:
+        at most one worker per CPU, BLAS threads split between them (fork
+        children inherit the split), and one worker when nested in
+        another pool.  Returns ``{layer name: KMeansResult}``.
         """
         wanted = None if subset is None else set(subset)
         names = [name for name, _ in targets if wanted is None or name in wanted]
@@ -446,21 +439,21 @@ class MVQCompressor:
             tasks.append((pruned, mask, cfg, self._layer_seed(name, cfg),
                           dtype_name, block_bytes))
 
-        workers = self._effective_workers(len(names))
-        if workers > 1:
-            order = sorted(range(len(tasks)),
-                           key=lambda i: tasks[i][0].shape[0], reverse=True)
-            backend = self._choose_backend(tasks)
-            pool_cls = (ProcessPoolExecutor if backend == "process"
-                        else ThreadPoolExecutor)
-            results: List = [None] * len(tasks)
-            with pool_cls(max_workers=workers) as pool:
-                futures = {i: pool.submit(_cluster_layer_task, tasks[i])
-                           for i in order}
-                for i, future in futures.items():
-                    results[i] = future.result()
-        else:
-            results = [_cluster_layer_task(task) for task in tasks]
+        with cpu.parallel(self._effective_workers(len(names))) as workers:
+            if workers > 1:
+                order = sorted(range(len(tasks)),
+                               key=lambda i: tasks[i][0].shape[0], reverse=True)
+                backend = self._choose_backend(tasks)
+                pool_cls = (ProcessPoolExecutor if backend == "process"
+                            else ThreadPoolExecutor)
+                results: List = [None] * len(tasks)
+                with pool_cls(max_workers=workers) as pool:
+                    futures = {i: pool.submit(_cluster_layer_task, tasks[i])
+                               for i in order}
+                    for i, future in futures.items():
+                        results[i] = future.result()
+            else:
+                results = [_cluster_layer_task(task) for task in tasks]
         return dict(zip(names, results))
 
     def stack_prepared(self, targets, prepared):

@@ -36,8 +36,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core import telemetry
-from repro.core.compressor import _available_cpus, layer_config_to_dict
+from repro.core import cpu, telemetry
+from repro.core.compressor import layer_config_to_dict
 from repro.core.faults import active_plan, fault_point
 from repro.explore.pareto import Objective, resolve_objectives
 from repro.explore.space import Candidate, EXPLORE_STAGES, SearchSpace
@@ -186,9 +186,9 @@ class Evaluator:
     ``backend`` picks the worker kind:
 
     * ``"thread"`` (default) — shared in-process :class:`ArtifactStore`,
-      cheapest on a single CPU (clustering already fans layer work across
-      cores), and the only backend a :class:`~repro.core.faults.FaultPlan`
-      can reach (plans are thread-scoped and do not cross processes).
+      cheapest on a single CPU, and the only backend a
+      :class:`~repro.core.faults.FaultPlan` can reach (plans are
+      thread-scoped and do not cross processes).
     * ``"process"`` — spawned worker processes, each rebuilding a
       single-use Evaluator against the same **disk-backed** store (the
       crash-safe content-hash cache is the cross-process channel, so the
@@ -196,6 +196,11 @@ class Evaluator:
       with a memory-only store it degrades to threads.
     * ``"auto"`` — ``"process"`` iff more than one CPU is available *and*
       the store is disk-backed, else ``"thread"``.
+
+    Both pools draw from the :mod:`repro.core.cpu` budget: thread waves
+    run inside :func:`~repro.core.cpu.parallel` (so compressor pools
+    inside a candidate get one worker), spawned workers start with their
+    share of the BLAS threads.
     """
 
     def __init__(self, space: SearchSpace,
@@ -215,8 +220,9 @@ class Evaluator:
                 f"got {backend!r}")
         self.space = space
         self.store = store if store is not None else ArtifactStore(cache_dir)
-        requested = workers if workers is not None else _available_cpus()
-        self.workers = max(1, min(int(requested), _available_cpus()))
+        cpus = cpu.available_cpus()
+        requested = workers if workers is not None else cpus
+        self.workers = max(1, min(int(requested), cpus))
         self.stages = tuple(stages) if stages is not None else None
         self.objectives = resolve_objectives(space.objectives)
         self.retries = int(retries)
@@ -243,7 +249,7 @@ class Evaluator:
         """
         on_disk = self.store.cache_dir is not None
         if self.backend == "auto":
-            if _available_cpus() > 1 and on_disk:
+            if cpu.available_cpus() > 1 and on_disk:
                 resolved = "process"
             else:
                 resolved = "thread"
@@ -395,23 +401,24 @@ class Evaluator:
         for label, wave in (("leader", leaders), ("follower", followers)):
             if not wave:
                 continue
-            if self.workers <= 1 or len(wave) == 1:
-                for candidate in wave:
-                    results[candidate.index] = self.evaluate_one(
-                        candidate, fidelity, wave=label)
-            elif backend == "process":
+            workers = min(self.workers, len(wave))
+            if backend == "process" and workers > 1:
                 # spans of spawned evaluation workers stay worker-local
                 # (no IPC trace channel here); the parent still sees the
                 # wave structure through the store's hit/miss counters
-                for candidate, outcome in zip(
-                        wave, self._evaluate_wave_process(wave, fidelity)):
-                    results[candidate.index] = outcome
+                outcomes = self._evaluate_wave_process(wave, fidelity)
             else:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    for candidate, outcome in zip(wave, pool.map(
-                            lambda c: self.evaluate_one(c, fidelity,
-                                                        wave=label), wave)):
-                        results[candidate.index] = outcome
+                with cpu.parallel(workers) as granted:
+                    if granted > 1:
+                        with ThreadPoolExecutor(max_workers=granted) as pool:
+                            outcomes = list(pool.map(
+                                lambda c: self.evaluate_one(
+                                    c, fidelity, wave=label), wave))
+                    else:
+                        outcomes = [self.evaluate_one(c, fidelity, wave=label)
+                                    for c in wave]
+            for candidate, outcome in zip(wave, outcomes):
+                results[candidate.index] = outcome
         return [results[c.index] for c in candidates]
 
     def _evaluate_wave_process(self, wave: Sequence[Candidate],
@@ -419,6 +426,7 @@ class Evaluator:
         """One wave on spawned worker processes over the disk-backed store."""
         from repro.core.precision import compute_dtype, distance_block_bytes
 
+        workers = min(self.workers, len(wave))
         base = {
             "space": self.space.to_dict(),
             "cache_dir": str(self.store.cache_dir),
@@ -428,11 +436,11 @@ class Evaluator:
             "fidelity": fidelity,
             "compute_dtype": compute_dtype().name,
             "distance_block_bytes": distance_block_bytes(),
+            "blas_threads": cpu.worker_blas_threads(workers),
         }
         payloads = [{**base, "index": c.index, "values": c.values,
                      "spec": c.scenario_spec()} for c in wave]
         context = multiprocessing.get_context("spawn")
-        workers = min(self.workers, len(wave))
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=context) as pool:
             outcomes = list(pool.map(_evaluate_candidate_process, payloads))
@@ -453,6 +461,7 @@ class Evaluator:
             "failed": self.failed,
             "retried": self.retried,
             "store": self.store.stats(),
+            "cpu": cpu.policy(),
         }
 
 
@@ -461,14 +470,16 @@ def _evaluate_candidate_process(
     """Spawned-worker entry: evaluate one candidate, return result + counters.
 
     Rebuilds a fresh single-use :class:`Evaluator` (thread locks don't
-    pickle) against the parent's disk cache and precision settings, so a
-    process-backend sweep is observationally identical to a thread sweep.
+    pickle) against the parent's disk cache, precision settings and BLAS
+    thread share, so a process-backend sweep is observationally identical
+    to a thread sweep.
     """
     from repro.core.precision import set_compute_dtype, set_distance_block_bytes
     from repro.explore.space import SearchSpace as _SearchSpace
 
     set_compute_dtype(payload["compute_dtype"])
     set_distance_block_bytes(payload["distance_block_bytes"])
+    cpu.set_blas_threads(payload["blas_threads"])
     evaluator = Evaluator(_SearchSpace.from_dict(payload["space"]),
                           cache_dir=payload["cache_dir"], workers=1,
                           stages=payload["stages"],

@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.core import telemetry
+from repro.core import cpu, telemetry
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.runner import PipelineResult
 from repro.pipeline.scenarios import Scenario, list_scenarios, run_scenario
@@ -180,6 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.output:
         report = _jsonable(result.report())
+        report["cpu"] = cpu.policy()
         if store_stats is not None:
             report["artifact_store"] = store_stats
         if summary is not None:

@@ -54,7 +54,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import telemetry
+from repro.core import cpu, telemetry
 from repro.core.faults import fault_point
 from repro.nn.module import Module
 from repro.serve.errors import EngineFault, WorkerFault
@@ -210,7 +210,8 @@ def _worker_info(model: Module, arena: ShmArena) -> Dict[str, Any]:
             "derived_shared_bytes": int(derived_shared),
             "derived_private_bytes": int(derived_private),
             "engine_modes": modes,
-            "engines": engines}
+            "engines": engines,
+            "cpu": cpu.policy()}
 
 
 def _worker_main(spec: Dict[str, Any], conn) -> None:
@@ -239,6 +240,7 @@ def _worker_main(spec: Dict[str, Any], conn) -> None:
                     process_name=f"serve-worker pid {os.getpid()}")
             set_compute_dtype(spec["compute_dtype"])
             set_distance_block_bytes(spec["distance_block_bytes"])
+            cpu.set_blas_threads(spec["blas_threads"])
             arena = ShmArena.attach(spec["arena"])
             model = _build_worker_model(spec, arena)
         except Exception as error:  # noqa: BLE001 - reported to the parent
@@ -658,6 +660,8 @@ class ProcessReplicaPool:
             "dtype": self.dtype.name,
             "compute_dtype": compute_dtype().name,
             "distance_block_bytes": distance_block_bytes(),
+            # each worker's share of the cores for its BLAS calls
+            "blas_threads": cpu.worker_blas_threads(workers),
             # workers record their own spans when the parent is tracing at
             # pool-construction time (enable tracing before building pools)
             "trace": telemetry.enabled(),

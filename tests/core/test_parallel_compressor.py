@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import LayerCompressionConfig, MVQCompressor, precision
+from repro.core import LayerCompressionConfig, MVQCompressor, cpu, precision
 from repro.core import compressor as compressor_mod
 
 
@@ -41,7 +41,7 @@ class TestParallelCompression:
     def test_pool_backends_bit_identical(self, backend, trained_model, monkeypatch):
         """Both pool implementations (forced past the single-CPU cap) match
         the sequential result exactly."""
-        monkeypatch.setattr(compressor_mod, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
         cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=15, seed=3)
         sequential = MVQCompressor(cfg).compress(trained_model)
         parallel = MVQCompressor(cfg, workers=4,
@@ -52,7 +52,7 @@ class TestParallelCompression:
                                                       monkeypatch):
         """A scoped float32 policy must reach process-pool workers (child
         processes only see the environment defaults otherwise)."""
-        monkeypatch.setattr(compressor_mod, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
         cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=10, seed=1)
         with precision.precision("float32"):
             sequential = MVQCompressor(cfg).compress(trained_model)
@@ -63,12 +63,17 @@ class TestParallelCompression:
     def test_workers_capped_by_available_cpus(self, monkeypatch):
         """On a single-CPU host, workers>1 degrades to the sequential path
         (break-even by construction, never a slowdown)."""
-        monkeypatch.setattr(compressor_mod, "_available_cpus", lambda: 1)
         compressor = MVQCompressor(LayerCompressionConfig(), workers=8)
-        assert compressor._effective_workers(num_layers=10) == 1
-        monkeypatch.setattr(compressor_mod, "_available_cpus", lambda: 16)
-        assert compressor._effective_workers(num_layers=10) == 8
-        assert compressor._effective_workers(num_layers=3) == 3
+
+        def granted(num_layers):
+            with cpu.parallel(compressor._effective_workers(num_layers)) as n:
+                return n
+
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 1)
+        assert granted(10) == 1
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 16)
+        assert granted(10) == 8
+        assert granted(3) == 3
 
     def test_auto_backend_never_picks_process_under_spawn(self, monkeypatch):
         """Spawned workers re-import __main__, so auto must stay on threads

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import cpu
 from repro.core.faults import FaultPlan, FaultRule
 from repro.explore.evaluator import Evaluator
 
@@ -47,17 +48,15 @@ class TestBackendResolution:
 
     def test_auto_respects_cpu_count_and_store(self, space, tmp_path,
                                                monkeypatch):
-        import repro.explore.evaluator as module
-
         evaluator = Evaluator(space, cache_dir=str(tmp_path), backend="auto")
         evaluator.workers = 2
-        monkeypatch.setattr(module, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
         assert evaluator._resolve_backend() == "process"
-        monkeypatch.setattr(module, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 1)
         assert evaluator._resolve_backend() == "thread"
         no_disk = Evaluator(space, backend="auto")
         no_disk.workers = 2
-        monkeypatch.setattr(module, "_available_cpus", lambda: 4)
+        monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
         assert no_disk._resolve_backend() == "thread"
 
 
@@ -77,6 +76,7 @@ class TestProcessEvaluation:
 
         assert process_ev.stats()["backend"] == "process"
         assert process_ev.stats()["evaluated"] == len(candidates)
+        assert process_ev.stats()["cpu"]["cpus"] == cpu.available_cpus()
         for want, got in zip(reference, results):
             assert got.ok, got.error
             assert got.candidate.index == want.candidate.index

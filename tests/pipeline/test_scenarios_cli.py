@@ -140,6 +140,7 @@ class TestCli:
         assert report["serve_report"]["outputs_match"] is True
         assert report["accel_report"]["efficiency_tops_w"] > 0
         assert report["compression_ratio"] > 1.0
+        assert report["cpu"]["cpus"] >= 1
 
         # warm re-run from the on-disk cache: clustering skipped
         assert main(["run", str(cfg_path), "--cache-dir", str(cache),
