@@ -12,8 +12,13 @@ setting, so every pool splits the cores the same way:
   entered while another holds the budget (a pool inside a pool, or a pool
   on another thread) gets a single worker and leaves BLAS alone.
 * :func:`worker_blas_threads` — the same split for spawned worker
-  processes, which apply it with :func:`set_blas_threads` on start-up.
-* :func:`policy` — the resolved setting, stamped into reports.
+  processes, which apply it on start-up.
+* :func:`worker` — the region a spawned explore worker evaluates in: it
+  applies the parent's BLAS share and holds the budget, so a pool started
+  inside the worker gets a single worker.
+* :func:`policy` — the resolved setting, stamped into reports, with the
+  k-means distance block budget (:mod:`repro.core.precision`) that is
+  sized to the same host's caches.
 
 Sequential callers (one worker) never touch BLAS: a lone worker is
 fastest with the library's own multi-threading.  BLAS threads are set at
@@ -32,6 +37,8 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
+
+from repro.core import precision
 
 #: (getter, setter) symbol pairs of the OpenBLAS builds numpy ships
 _BLAS_SYMBOLS = (
@@ -146,6 +153,27 @@ def parallel(workers: int) -> Iterator[int]:
             set_blas_threads(restore)
 
 
+@contextmanager
+def worker(blas_threads: Optional[int]) -> Iterator[None]:
+    """Run the body as one worker of a pool that spawned this process.
+
+    Sets BLAS to the parent's share (``None`` leaves it alone) and holds
+    the budget until exit, so a pool started inside — a compressor asked
+    for ``workers`` in a spawned explore worker — grants one worker
+    instead of splitting the cores again.
+    """
+    global _active
+    with _lock:
+        _active += 1
+        restore = set_blas_threads(blas_threads)
+    try:
+        yield
+    finally:
+        with _lock:
+            _active -= 1
+            set_blas_threads(restore)
+
+
 def worker_blas_threads(workers: int) -> Optional[int]:
     """BLAS threads for each of ``workers`` spawned worker processes.
 
@@ -160,13 +188,20 @@ def policy() -> Dict[str, Any]:
 
     ``blas_default_threads`` is the library's count when first looked up;
     ``granted_workers`` is the grant of the latest outermost region
-    (``None`` before the first).
+    (``None`` before the first).  ``distance_block_bytes`` is the current
+    k-means distance block budget; ``distance_block_source`` says where
+    the import-time default came from (``env``, ``sysfs`` or
+    ``fallback``) and ``l2_cache_bytes`` is the L2 size sysfs reported.
     """
     blas = _blas()
+    default = precision.DEFAULT_BLOCK_BUDGET
     return {
         "cpus": available_cpus(),
         "blas_symbol": blas[0] if blas is not None else None,
         "blas_default_threads": blas[3] if blas is not None else None,
         "blas_threads": blas_threads(),
         "granted_workers": _last_granted,
+        "distance_block_bytes": precision.distance_block_bytes(),
+        "distance_block_source": default.source,
+        "l2_cache_bytes": default.l2_cache_bytes,
     }

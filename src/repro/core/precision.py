@@ -10,13 +10,18 @@ Two knobs, both process-wide:
   :func:`accum_dtype`.
 * **Distance block budget** — the maximum number of bytes a single
   ``(rows, k)`` distance/score block may occupy during k-means assignment.
-  Keeps the working set cache-resident and bounds peak memory on large
-  layers; the ``(N_G, k)`` matrix is never materialised beyond one block.
+  The GEMM writes each block and the argmin reads it straight back, so the
+  default is half the host's per-core L2 cache (read from sysfs, see
+  :func:`default_distance_block`): the block stays cache-resident instead
+  of making two trips to DRAM, and the ``(N_G, k)`` matrix is never
+  materialised beyond one block.  Where sysfs is unreadable (non-Linux
+  hosts, containers hiding it) the default is 1 MiB.  The block size
+  changes timing only — assignments are bit-identical for any budget.
 
-Defaults come from the environment (``REPRO_COMPUTE_DTYPE``,
-``REPRO_DISTANCE_BLOCK_BYTES``) so benchmark runs can flip the policy
-without code changes.  Use :func:`precision` as a context manager for
-scoped overrides::
+Both knobs can be set from the environment (``REPRO_COMPUTE_DTYPE``,
+``REPRO_DISTANCE_BLOCK_BYTES``, read at import) so benchmark runs can flip
+the policy without code changes.  Use :func:`precision` as a context
+manager for scoped overrides::
 
     with precision("float32"):
         result = masked_kmeans(data, mask, k=256)
@@ -28,9 +33,10 @@ creating an import cycle.
 
 from __future__ import annotations
 
+import glob
 import os
 from contextlib import contextmanager
-from typing import Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -38,8 +44,58 @@ DTypeLike = Union[str, type, np.dtype]
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
-#: Default ceiling for one (rows, k) score block: 64 MiB.
-DEFAULT_DISTANCE_BLOCK_BYTES = 64 << 20
+#: Distance block budget when the L2 size cannot be read: 1 MiB.
+FALLBACK_DISTANCE_BLOCK_BYTES = 1 << 20
+#: Smallest distance block budget the default or the env var may give.
+MIN_DISTANCE_BLOCK_BYTES = 1 << 16
+#: Where Linux describes CPU 0's caches, one ``index*`` directory each.
+SYSFS_CPU_CACHE = "/sys/devices/system/cpu/cpu0/cache"
+
+
+class BlockBudget(NamedTuple):
+    """The default distance block budget and where it came from."""
+
+    bytes: int
+    source: str                # "env", "sysfs" or "fallback"
+    l2_cache_bytes: Optional[int]
+
+
+def _read(path: str) -> str:
+    with open(path) as f:
+        return f.read().strip()
+
+
+def l2_cache_bytes(root: str = SYSFS_CPU_CACHE) -> Optional[int]:
+    """Size of CPU 0's level-2 Data/Unified cache from sysfs, or ``None``.
+
+    Reads ``{root}/index*/{level,type,size}``; Linux writes sizes in
+    KiB, like ``2048K``.
+    """
+    for index in sorted(glob.glob(os.path.join(root, "index*"))):
+        try:
+            level, kind, size = (_read(os.path.join(index, name))
+                                 for name in ("level", "type", "size"))
+            if level == "2" and kind in ("Data", "Unified"):
+                return int(size.removesuffix("K")) << 10
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def default_distance_block(environ: Mapping[str, str] = os.environ,
+                           root: str = SYSFS_CPU_CACHE) -> BlockBudget:
+    """The default distance block budget: ``REPRO_DISTANCE_BLOCK_BYTES``
+    if set, else half the L2 cache, else
+    :data:`FALLBACK_DISTANCE_BLOCK_BYTES`; never below
+    :data:`MIN_DISTANCE_BLOCK_BYTES`."""
+    l2 = l2_cache_bytes(root)
+    if "REPRO_DISTANCE_BLOCK_BYTES" in environ:
+        budget, source = int(environ["REPRO_DISTANCE_BLOCK_BYTES"]), "env"
+    elif l2 is not None:
+        budget, source = l2 // 2, "sysfs"
+    else:
+        budget, source = FALLBACK_DISTANCE_BLOCK_BYTES, "fallback"
+    return BlockBudget(max(MIN_DISTANCE_BLOCK_BYTES, budget), source, l2)
 
 
 def _as_compute_dtype(dtype: DTypeLike) -> np.dtype:
@@ -52,8 +108,9 @@ def _as_compute_dtype(dtype: DTypeLike) -> np.dtype:
 
 
 _compute_dtype = _as_compute_dtype(os.environ.get("REPRO_COMPUTE_DTYPE", "float64"))
-_block_bytes = max(1 << 16, int(os.environ.get(
-    "REPRO_DISTANCE_BLOCK_BYTES", str(DEFAULT_DISTANCE_BLOCK_BYTES))))
+#: the budget resolved at import, reported by ``repro.core.cpu.policy()``
+DEFAULT_BLOCK_BUDGET = default_distance_block()
+_block_bytes = DEFAULT_BLOCK_BUDGET.bytes
 
 
 def compute_dtype() -> np.dtype:

@@ -421,12 +421,11 @@ class Evaluator:
                 results[candidate.index] = outcome
         return [results[c.index] for c in candidates]
 
-    def _evaluate_wave_process(self, wave: Sequence[Candidate],
-                               fidelity: float) -> List[CandidateResult]:
-        """One wave on spawned worker processes over the disk-backed store."""
+    def _process_payloads(self, wave: Sequence[Candidate], fidelity: float,
+                          workers: int) -> List[Dict[str, Any]]:
+        """What each spawned worker of a process wave is sent."""
         from repro.core.precision import compute_dtype, distance_block_bytes
 
-        workers = min(self.workers, len(wave))
         base = {
             "space": self.space.to_dict(),
             "cache_dir": str(self.store.cache_dir),
@@ -438,8 +437,14 @@ class Evaluator:
             "distance_block_bytes": distance_block_bytes(),
             "blas_threads": cpu.worker_blas_threads(workers),
         }
-        payloads = [{**base, "index": c.index, "values": c.values,
-                     "spec": c.scenario_spec()} for c in wave]
+        return [{**base, "index": c.index, "values": c.values,
+                 "spec": c.scenario_spec()} for c in wave]
+
+    def _evaluate_wave_process(self, wave: Sequence[Candidate],
+                               fidelity: float) -> List[CandidateResult]:
+        """One wave on spawned worker processes over the disk-backed store."""
+        workers = min(self.workers, len(wave))
+        payloads = self._process_payloads(wave, fidelity, workers)
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=context) as pool:
@@ -472,14 +477,15 @@ def _evaluate_candidate_process(
     Rebuilds a fresh single-use :class:`Evaluator` (thread locks don't
     pickle) against the parent's disk cache, precision settings and BLAS
     thread share, so a process-backend sweep is observationally identical
-    to a thread sweep.
+    to a thread sweep.  The evaluation runs inside :func:`cpu.worker`, so
+    a candidate whose pipeline asks for compressor ``workers`` clusters
+    with one worker instead of starting a pool per spawned worker.
     """
     from repro.core.precision import set_compute_dtype, set_distance_block_bytes
     from repro.explore.space import SearchSpace as _SearchSpace
 
     set_compute_dtype(payload["compute_dtype"])
     set_distance_block_bytes(payload["distance_block_bytes"])
-    cpu.set_blas_threads(payload["blas_threads"])
     evaluator = Evaluator(_SearchSpace.from_dict(payload["space"]),
                           cache_dir=payload["cache_dir"], workers=1,
                           stages=payload["stages"],
@@ -489,7 +495,8 @@ def _evaluate_candidate_process(
                           values=tuple(tuple(pair) for pair
                                        in payload["values"]),
                           spec=payload["spec"])
-    result = evaluator.evaluate_one(candidate, payload["fidelity"])
+    with cpu.worker(payload["blas_threads"]):
+        result = evaluator.evaluate_one(candidate, payload["fidelity"])
     counters = {name: getattr(evaluator, name) for name in
                 ("evaluated", "infeasible", "failed", "retried")}
     return result, counters

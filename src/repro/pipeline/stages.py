@@ -157,14 +157,16 @@ def _cluster_cache_key(pruned: np.ndarray, mask: np.ndarray,
     """Content hash of everything the clustering kernel reads.
 
     ``d``/``strategy``/``prune`` parameters are not listed: they are already
-    captured by the pruned data and mask bytes.  The precision policy is
-    included because it changes float summation order, hence results.
+    captured by the pruned data and mask bytes.  The compute dtype is
+    included because it changes float summation order, hence results.  The
+    distance block budget is not: it changes timing only (assignments are
+    bit-identical for any block size), and its default follows the host's
+    L2 cache, so keying on it would make a shared store miss across hosts.
     """
     return stable_hash(
         "cluster", 1, pruned, mask,
         cfg.k, cfg.max_kmeans_iterations, bool(cfg.use_masked_kmeans),
         int(seed), str(precision.compute_dtype()),
-        precision.distance_block_bytes(),
     )
 
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import LayerCompressionConfig, MVQCompressor, cpu
+from repro.core import LayerCompressionConfig, MVQCompressor, cpu, precision
 from repro.core import compressor as compressor_mod
 from repro.nn import Conv2d, Sequential
 
@@ -41,6 +41,14 @@ class TestBlasThreads:
         assert policy["blas_symbol"]
         assert policy["blas_threads"] == cpu.blas_threads()
         assert policy["blas_default_threads"] >= 1
+
+
+def test_policy_reports_the_distance_block_budget():
+    policy = cpu.policy()
+    assert policy["distance_block_bytes"] == precision.distance_block_bytes()
+    assert policy["distance_block_source"] in ("env", "sysfs", "fallback")
+    assert policy["l2_cache_bytes"] == \
+        precision.DEFAULT_BLOCK_BUDGET.l2_cache_bytes
 
 
 class TestParallelRegion:
@@ -118,6 +126,16 @@ class TestParallelRegion:
         assert not any(thread.is_alive() for thread in threads)
         assert peak[0] == 1
         assert cpu.blas_threads() == restore_blas
+
+    @needs_blas
+    def test_worker_region_holds_the_budget(self, two_cpus, restore_blas):
+        with cpu.worker(1):
+            assert cpu.blas_threads() == 1
+            with cpu.parallel(2) as granted:
+                assert granted == 1
+        assert cpu.blas_threads() == restore_blas
+        with cpu.parallel(2) as granted:  # released on exit
+            assert granted == 2
 
     def test_worker_blas_threads_split_the_cpus(self, two_cpus):
         assert cpu.worker_blas_threads(1) is None

@@ -60,6 +60,64 @@ class TestPolicy:
         assert precision.block_rows(10**9, 8, 1 << 20) == 1  # never zero
 
 
+def fake_sysfs(root, caches):
+    """A sysfs ``cpu0/cache`` tree of ``(level, type, size)`` entries."""
+    for i, (level, kind, size) in enumerate(caches):
+        index = root / f"index{i}"
+        index.mkdir(parents=True)
+        (index / "level").write_text(f"{level}\n")
+        (index / "type").write_text(f"{kind}\n")
+        (index / "size").write_text(f"{size}\n")
+    return str(root)
+
+
+L1 = [(1, "Data", "48K"), (1, "Instruction", "32K")]
+
+
+class TestDefaultBlockBudget:
+    @pytest.mark.parametrize("size, budget", [("2048K", 1 << 20),
+                                              ("512K", 256 << 10)])
+    def test_half_the_l2_cache(self, tmp_path, size, budget):
+        root = fake_sysfs(tmp_path, L1 + [(2, "Unified", size),
+                                          (3, "Unified", "307200K")])
+        assert precision.default_distance_block({}, root) == (
+            budget, "sysfs", 2 * budget)
+
+    def test_l2_data_cache_counts(self, tmp_path):
+        root = fake_sysfs(tmp_path, [(2, "Instruction", "4096K"),
+                                     (2, "Data", "1024K")])
+        assert precision.default_distance_block({}, root).bytes == 512 << 10
+
+    @pytest.mark.parametrize("caches", [
+        L1,                                    # no level-2 entry
+        [(2, "Instruction", "2048K")],         # level 2, but no data
+        [(2, "Unified", "")],                  # unreadable size
+    ])
+    def test_no_l2_data_cache_falls_back(self, tmp_path, caches):
+        root = fake_sysfs(tmp_path, caches)
+        assert precision.default_distance_block({}, root) == (
+            precision.FALLBACK_DISTANCE_BLOCK_BYTES, "fallback", None)
+
+    def test_missing_directory_falls_back(self, tmp_path):
+        budget = precision.default_distance_block({}, str(tmp_path / "none"))
+        assert budget == (1 << 20, "fallback", None)
+
+    def test_env_wins_over_sysfs(self, tmp_path):
+        root = fake_sysfs(tmp_path, [(2, "Unified", "2048K")])
+        env = {"REPRO_DISTANCE_BLOCK_BYTES": str(4 << 20)}
+        assert precision.default_distance_block(env, root) == (
+            4 << 20, "env", 2 << 20)
+
+    @pytest.mark.parametrize("env, caches", [
+        ({"REPRO_DISTANCE_BLOCK_BYTES": "1024"}, []),
+        ({}, [(2, "Unified", "96K")]),
+    ])
+    def test_floor_holds(self, tmp_path, env, caches):
+        root = fake_sysfs(tmp_path, caches)
+        budget = precision.default_distance_block(env, root)
+        assert budget.bytes == precision.MIN_DISTANCE_BLOCK_BYTES == 1 << 16
+
+
 class TestFloat32Clustering:
     def test_kmeans_float32_dtype_and_quality(self, rng):
         data = rng.normal(size=(500, 8))

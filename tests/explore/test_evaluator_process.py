@@ -1,11 +1,15 @@
 """Evaluator backend selection and the spawned-process evaluation path."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core import cpu
 from repro.core.faults import FaultPlan, FaultRule
-from repro.explore.evaluator import Evaluator
+from repro.explore.evaluator import Evaluator, _evaluate_candidate_process
 
 
 class TestBackendResolution:
@@ -96,3 +100,40 @@ class TestProcessEvaluation:
         assert evaluator.stats()["infeasible"] == 1
         bad = next(r for r in results if not r.ok)
         assert bad.error_type == "InfeasibleCandidate"
+
+
+def _grants_in_spawned_worker(payload):
+    """Spawned-child body: evaluate one candidate the way a process wave
+    does, on a 2-CPU budget, and report what every pool region granted."""
+    grants = []
+    region = cpu.parallel
+
+    @contextmanager
+    def spy(workers):
+        with region(workers) as granted:
+            grants.append((workers, granted))
+            yield granted
+
+    cpu.available_cpus = lambda: 2
+    cpu.parallel = spy
+    result, _ = _evaluate_candidate_process(payload)
+    return result.ok, result.error, grants
+
+
+def test_spawned_worker_clusters_with_one_worker(tiny_space, tiny_pipeline,
+                                                 tmp_path):
+    """A pipeline asking for compressor workers must not start a pool
+    inside each spawned explore worker: the worker already holds its
+    share of the CPU budget."""
+    space = tiny_space(pipeline={**tiny_pipeline, "workers": 2},
+                       axes=[{"path": "base.k", "values": [6]}])
+    evaluator = Evaluator(space, cache_dir=str(tmp_path), workers=2,
+                          backend="process")
+    payload, = evaluator._process_payloads(space.grid(), 1.0, workers=2)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        ok, error, grants = pool.submit(_grants_in_spawned_worker,
+                                        payload).result()
+    assert ok, error
+    assert grants and all(workers == 2 for workers, _ in grants), grants
+    assert [granted for _, granted in grants] == [1] * len(grants)

@@ -4,7 +4,7 @@ caching granularity and out-of-order stage composition."""
 import numpy as np
 import pytest
 
-from repro.core import LayerCompressionConfig, MVQCompressor
+from repro.core import LayerCompressionConfig, MVQCompressor, precision
 from repro.nn import Conv2d, Sequential
 from repro.pipeline.artifacts import ArtifactStore, stable_hash
 from repro.pipeline.config import PipelineConfig
@@ -116,6 +116,32 @@ class TestClusterCaching:
         assert event["status"] == "cached"
         assert event["layers_clustered"] == []
         assert_identical(cold.compressed, warm.compressed)
+
+    def test_block_budget_is_not_in_the_cluster_key(self):
+        """The distance block budget changes timing, not bits, and its
+        default follows the host's L2 cache: a store filled under one
+        budget must serve every cluster artifact under another."""
+        def digest(compressed):
+            return stable_hash(*[
+                (layer.assignments, layer.codebook.codewords, layer.mask)
+                for _, layer in sorted(compressed.layers.items())])
+
+        # k=64 float64 blocks of 64 KiB hold 128 rows: every layer is chunked
+        config = PipelineConfig.from_dict(
+            {"base": {"k": 64, "max_kmeans_iterations": 6}})
+        store = ArtifactStore()
+        with precision.precision(block_bytes=1 << 16):
+            small = Pipeline(config, store=store).run(small_model())
+        default = Pipeline(config, store=store).run(small_model())
+        fresh = Pipeline(config).run(small_model())
+
+        assert small.event_for("cluster")["status"] == "run"
+        event = default.event_for("cluster")
+        assert event["status"] == "cached"
+        assert event["layers_clustered"] == []
+        assert sorted(event["layers_cached"]) == sorted(small.compressed.layers)
+        assert digest(small.compressed) == digest(default.compressed) \
+            == digest(fresh.compressed)
 
     def test_quantize_only_change_keeps_cluster_cache_warm(self):
         """codebook_bits is read by the quantize stage only: changing it must
