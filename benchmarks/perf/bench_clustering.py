@@ -5,10 +5,10 @@ d=8 under a 2:8 mask with k=256 codewords, a ResNet-scale layer.  Every
 variant runs the same fixed number of Lloyd iterations
 (``change_threshold=0``) so timings compare like with like.
 
-``masked_fp64_s`` runs under the default distance block budget, which
-follows the host's L2 cache (``block_bytes`` in the report);
-``masked_fp64_block_64MiB_s`` repeats it under the former fixed 64 MiB
-default, so every report shows what cache-sized blocks buy on its host.
+``masked_fp64_s`` runs under the default distance block budget
+(``block_bytes`` in the report); ``masked_fp64_block_64MiB_s`` repeats it
+under the former 64 MiB default, so every report shows what cache-sized
+blocks buy on its host.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ FULL = dict(n=16384, d=8, k=256, n_keep=2, m=8, iterations=15, repeats=3)
 # large enough (and best-of-3) that the speedup-vs-legacy ratios are stable
 # on a loaded CI runner — the perf-regression gate compares against them
 SMOKE = dict(n=4096, d=8, k=64, n_keep=2, m=8, iterations=5, repeats=3)
-#: the distance block budget before it was sized to the L2 cache
+#: the default distance block budget before it was cut to 1 MiB
 FIXED_64MIB_BLOCK_BYTES = 64 << 20
 
 

@@ -12,13 +12,11 @@ setting, so every pool splits the cores the same way:
   entered while another holds the budget (a pool inside a pool, or a pool
   on another thread) gets a single worker and leaves BLAS alone.
 * :func:`worker_blas_threads` — the same split for spawned worker
-  processes, which apply it on start-up.
-* :func:`worker` — the region a spawned explore worker evaluates in: it
-  applies the parent's BLAS share and holds the budget, so a pool started
-  inside the worker gets a single worker.
+  processes, which apply it with :func:`enter_worker` on start-up; that
+  also holds the budget for the worker's life, so a pool started inside a
+  worker gets a single worker.
 * :func:`policy` — the resolved setting, stamped into reports, with the
-  k-means distance block budget (:mod:`repro.core.precision`) that is
-  sized to the same host's caches.
+  k-means distance block budget (:mod:`repro.core.precision`).
 
 Sequential callers (one worker) never touch BLAS: a lone worker is
 fastest with the library's own multi-threading.  BLAS threads are set at
@@ -111,6 +109,7 @@ def set_blas_threads(n: Optional[int]) -> Optional[int]:
 # process-wide
 _lock = threading.Lock()
 _active = 0
+_in_worker = False  # set by enter_worker: this process is one pool worker
 _last_granted: Optional[int] = None
 
 
@@ -138,7 +137,7 @@ def parallel(workers: int) -> Iterator[int]:
         yield 1
         return
     with _lock:
-        if _active:
+        if _active or _in_worker:
             granted, restore = 1, None
         else:
             granted, blas = _split(workers)
@@ -153,25 +152,18 @@ def parallel(workers: int) -> Iterator[int]:
             set_blas_threads(restore)
 
 
-@contextmanager
-def worker(blas_threads: Optional[int]) -> Iterator[None]:
-    """Run the body as one worker of a pool that spawned this process.
+def enter_worker(blas_threads: Optional[int]) -> None:
+    """Start-up call of a spawned pool worker process, for its whole life.
 
-    Sets BLAS to the parent's share (``None`` leaves it alone) and holds
-    the budget until exit, so a pool started inside — a compressor asked
-    for ``workers`` in a spawned explore worker — grants one worker
-    instead of splitting the cores again.
+    Sets BLAS to the parent's share (``None`` leaves it alone) and marks
+    the budget as held, so a pool started inside — a compressor asked for
+    ``workers`` in a spawned explore worker — grants one worker instead of
+    splitting the cores again.
     """
-    global _active
+    global _in_worker
     with _lock:
-        _active += 1
-        restore = set_blas_threads(blas_threads)
-    try:
-        yield
-    finally:
-        with _lock:
-            _active -= 1
-            set_blas_threads(restore)
+        _in_worker = True
+        set_blas_threads(blas_threads)
 
 
 def worker_blas_threads(workers: int) -> Optional[int]:
@@ -189,12 +181,10 @@ def policy() -> Dict[str, Any]:
     ``blas_default_threads`` is the library's count when first looked up;
     ``granted_workers`` is the grant of the latest outermost region
     (``None`` before the first).  ``distance_block_bytes`` is the current
-    k-means distance block budget; ``distance_block_source`` says where
-    the import-time default came from (``env``, ``sysfs`` or
-    ``fallback``) and ``l2_cache_bytes`` is the L2 size sysfs reported.
+    k-means distance block budget and ``distance_block_source`` where it
+    came from (``default``, ``env`` or ``override``).
     """
     blas = _blas()
-    default = precision.DEFAULT_BLOCK_BUDGET
     return {
         "cpus": available_cpus(),
         "blas_symbol": blas[0] if blas is not None else None,
@@ -202,6 +192,5 @@ def policy() -> Dict[str, Any]:
         "blas_threads": blas_threads(),
         "granted_workers": _last_granted,
         "distance_block_bytes": precision.distance_block_bytes(),
-        "distance_block_source": default.source,
-        "l2_cache_bytes": default.l2_cache_bytes,
+        "distance_block_source": precision.distance_block_source(),
     }

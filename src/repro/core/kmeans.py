@@ -11,9 +11,9 @@ The hot loops are written for throughput on large layers:
   computed as ``[x, 1] @ [-2c, ||c||^2]^T`` so one matrix product produces
   the argmin operand directly, and rows are processed in blocks sized by
   :func:`repro.core.precision.distance_block_bytes` so the ``(N_G, k)``
-  score matrix never exceeds the budget.  The default budget is half the
-  host's L2 cache (1 MiB where it cannot be read), so each block the GEMM
-  writes is still in cache when the argmin reads it.
+  score matrix never exceeds the budget.  The default budget (1 MiB) fits
+  a per-core L2 cache, so each block the GEMM writes is still in cache
+  when the argmin reads it.
 * **Update** replaces ``np.add.at`` scatter-adds with a single flattened
   ``np.bincount(weights=...)`` segment sum (an order of magnitude faster;
   bincount also accumulates in float64 regardless of the compute dtype).

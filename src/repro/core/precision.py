@@ -11,12 +11,10 @@ Two knobs, both process-wide:
 * **Distance block budget** — the maximum number of bytes a single
   ``(rows, k)`` distance/score block may occupy during k-means assignment.
   The GEMM writes each block and the argmin reads it straight back, so the
-  default is half the host's per-core L2 cache (read from sysfs, see
-  :func:`default_distance_block`): the block stays cache-resident instead
-  of making two trips to DRAM, and the ``(N_G, k)`` matrix is never
-  materialised beyond one block.  Where sysfs is unreadable (non-Linux
-  hosts, containers hiding it) the default is 1 MiB.  The block size
-  changes timing only — assignments are bit-identical for any budget.
+  default (1 MiB) fits a per-core L2 cache: the block stays cache-resident
+  instead of making two trips to DRAM, and the ``(N_G, k)`` matrix is
+  never materialised beyond one block.  The block size changes timing
+  only — assignments are bit-identical for any budget.
 
 Both knobs can be set from the environment (``REPRO_COMPUTE_DTYPE``,
 ``REPRO_DISTANCE_BLOCK_BYTES``, read at import) so benchmark runs can flip
@@ -33,10 +31,9 @@ creating an import cycle.
 
 from __future__ import annotations
 
-import glob
 import os
 from contextlib import contextmanager
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,58 +41,10 @@ DTypeLike = Union[str, type, np.dtype]
 
 _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
-#: Distance block budget when the L2 size cannot be read: 1 MiB.
-FALLBACK_DISTANCE_BLOCK_BYTES = 1 << 20
-#: Smallest distance block budget the default or the env var may give.
-MIN_DISTANCE_BLOCK_BYTES = 1 << 16
-#: Where Linux describes CPU 0's caches, one ``index*`` directory each.
-SYSFS_CPU_CACHE = "/sys/devices/system/cpu/cpu0/cache"
-
-
-class BlockBudget(NamedTuple):
-    """The default distance block budget and where it came from."""
-
-    bytes: int
-    source: str                # "env", "sysfs" or "fallback"
-    l2_cache_bytes: Optional[int]
-
-
-def _read(path: str) -> str:
-    with open(path) as f:
-        return f.read().strip()
-
-
-def l2_cache_bytes(root: str = SYSFS_CPU_CACHE) -> Optional[int]:
-    """Size of CPU 0's level-2 Data/Unified cache from sysfs, or ``None``.
-
-    Reads ``{root}/index*/{level,type,size}``; Linux writes sizes in
-    KiB, like ``2048K``.
-    """
-    for index in sorted(glob.glob(os.path.join(root, "index*"))):
-        try:
-            level, kind, size = (_read(os.path.join(index, name))
-                                 for name in ("level", "type", "size"))
-            if level == "2" and kind in ("Data", "Unified"):
-                return int(size.removesuffix("K")) << 10
-        except (OSError, ValueError):
-            continue
-    return None
-
-
-def default_distance_block(environ: Mapping[str, str] = os.environ,
-                           root: str = SYSFS_CPU_CACHE) -> BlockBudget:
-    """The default distance block budget: ``REPRO_DISTANCE_BLOCK_BYTES``
-    if set, else half the L2 cache, else
-    :data:`FALLBACK_DISTANCE_BLOCK_BYTES`; never below
-    :data:`MIN_DISTANCE_BLOCK_BYTES`."""
-    l2 = l2_cache_bytes(root)
-    if "REPRO_DISTANCE_BLOCK_BYTES" in environ:
-        budget, source = int(environ["REPRO_DISTANCE_BLOCK_BYTES"]), "env"
-    elif l2 is not None:
-        budget, source = l2 // 2, "sysfs"
-    else:
-        budget, source = FALLBACK_DISTANCE_BLOCK_BYTES, "fallback"
-    return BlockBudget(max(MIN_DISTANCE_BLOCK_BYTES, budget), source, l2)
+#: Default ceiling for one (rows, k) score block: 1 MiB, small enough to
+#: stay in a per-core L2 cache between the GEMM that writes the block and
+#: the argmin that reads it.
+DEFAULT_DISTANCE_BLOCK_BYTES = 1 << 20
 
 
 def _as_compute_dtype(dtype: DTypeLike) -> np.dtype:
@@ -108,9 +57,10 @@ def _as_compute_dtype(dtype: DTypeLike) -> np.dtype:
 
 
 _compute_dtype = _as_compute_dtype(os.environ.get("REPRO_COMPUTE_DTYPE", "float64"))
-#: the budget resolved at import, reported by ``repro.core.cpu.policy()``
-DEFAULT_BLOCK_BUDGET = default_distance_block()
-_block_bytes = DEFAULT_BLOCK_BUDGET.bytes
+_env_block_bytes = os.environ.get("REPRO_DISTANCE_BLOCK_BYTES")
+_block_bytes = max(1 << 16, int(
+    _env_block_bytes or DEFAULT_DISTANCE_BLOCK_BYTES))
+_import_block_bytes = _block_bytes
 
 
 def compute_dtype() -> np.dtype:
@@ -134,6 +84,16 @@ def set_compute_dtype(dtype: DTypeLike) -> np.dtype:
 def distance_block_bytes() -> int:
     """Memory budget (bytes) for one (rows, k) distance block."""
     return _block_bytes
+
+
+def distance_block_source() -> str:
+    """Where the current budget came from: ``default``
+    (:data:`DEFAULT_DISTANCE_BLOCK_BYTES`), ``env``
+    (``REPRO_DISTANCE_BLOCK_BYTES`` at import) or ``override`` (any other
+    value set since)."""
+    if _block_bytes != _import_block_bytes:
+        return "override"
+    return "env" if _env_block_bytes else "default"
 
 
 def set_distance_block_bytes(n: int) -> int:

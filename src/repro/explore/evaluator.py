@@ -477,15 +477,17 @@ def _evaluate_candidate_process(
     Rebuilds a fresh single-use :class:`Evaluator` (thread locks don't
     pickle) against the parent's disk cache, precision settings and BLAS
     thread share, so a process-backend sweep is observationally identical
-    to a thread sweep.  The evaluation runs inside :func:`cpu.worker`, so
-    a candidate whose pipeline asks for compressor ``workers`` clusters
-    with one worker instead of starting a pool per spawned worker.
+    to a thread sweep.  :func:`cpu.enter_worker` marks the process as one
+    pool worker, so a candidate whose pipeline asks for compressor
+    ``workers`` clusters with one worker instead of starting a pool per
+    spawned worker.
     """
     from repro.core.precision import set_compute_dtype, set_distance_block_bytes
     from repro.explore.space import SearchSpace as _SearchSpace
 
     set_compute_dtype(payload["compute_dtype"])
     set_distance_block_bytes(payload["distance_block_bytes"])
+    cpu.enter_worker(payload["blas_threads"])
     evaluator = Evaluator(_SearchSpace.from_dict(payload["space"]),
                           cache_dir=payload["cache_dir"], workers=1,
                           stages=payload["stages"],
@@ -495,8 +497,7 @@ def _evaluate_candidate_process(
                           values=tuple(tuple(pair) for pair
                                        in payload["values"]),
                           spec=payload["spec"])
-    with cpu.worker(payload["blas_threads"]):
-        result = evaluator.evaluate_one(candidate, payload["fidelity"])
+    result = evaluator.evaluate_one(candidate, payload["fidelity"])
     counters = {name: getattr(evaluator, name) for name in
                 ("evaluated", "infeasible", "failed", "retried")}
     return result, counters

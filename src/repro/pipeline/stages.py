@@ -160,8 +160,8 @@ def _cluster_cache_key(pruned: np.ndarray, mask: np.ndarray,
     captured by the pruned data and mask bytes.  The compute dtype is
     included because it changes float summation order, hence results.  The
     distance block budget is not: it changes timing only (assignments are
-    bit-identical for any block size), and its default follows the host's
-    L2 cache, so keying on it would make a shared store miss across hosts.
+    bit-identical for any block size), and keying on it would make a
+    shared store miss between runs that set different budgets.
     """
     return stable_hash(
         "cluster", 1, pruned, mask,

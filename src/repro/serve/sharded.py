@@ -240,7 +240,7 @@ def _worker_main(spec: Dict[str, Any], conn) -> None:
                     process_name=f"serve-worker pid {os.getpid()}")
             set_compute_dtype(spec["compute_dtype"])
             set_distance_block_bytes(spec["distance_block_bytes"])
-            cpu.set_blas_threads(spec["blas_threads"])
+            cpu.enter_worker(spec["blas_threads"])
             arena = ShmArena.attach(spec["arena"])
             model = _build_worker_model(spec, arena)
         except Exception as error:  # noqa: BLE001 - reported to the parent

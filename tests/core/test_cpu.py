@@ -46,9 +46,8 @@ class TestBlasThreads:
 def test_policy_reports_the_distance_block_budget():
     policy = cpu.policy()
     assert policy["distance_block_bytes"] == precision.distance_block_bytes()
-    assert policy["distance_block_source"] in ("env", "sysfs", "fallback")
-    assert policy["l2_cache_bytes"] == \
-        precision.DEFAULT_BLOCK_BUDGET.l2_cache_bytes
+    assert policy["distance_block_source"] == \
+        precision.distance_block_source()
 
 
 class TestParallelRegion:
@@ -128,14 +127,15 @@ class TestParallelRegion:
         assert cpu.blas_threads() == restore_blas
 
     @needs_blas
-    def test_worker_region_holds_the_budget(self, two_cpus, restore_blas):
-        with cpu.worker(1):
-            assert cpu.blas_threads() == 1
+    def test_enter_worker_holds_the_budget(self, two_cpus, restore_blas,
+                                           monkeypatch):
+        monkeypatch.setattr(cpu, "_in_worker", False)
+        cpu.enter_worker(1)
+        assert cpu.blas_threads() == 1
+        for _ in range(2):  # held for the process's life, not one region
             with cpu.parallel(2) as granted:
                 assert granted == 1
-        assert cpu.blas_threads() == restore_blas
-        with cpu.parallel(2) as granted:  # released on exit
-            assert granted == 2
+            assert cpu.blas_threads() == 1
 
     def test_worker_blas_threads_split_the_cpus(self, two_cpus):
         assert cpu.worker_blas_threads(1) is None

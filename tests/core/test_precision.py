@@ -1,5 +1,7 @@
 """Tests for the global dtype/memory policy and the float32 compute paths."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -60,62 +62,36 @@ class TestPolicy:
         assert precision.block_rows(10**9, 8, 1 << 20) == 1  # never zero
 
 
-def fake_sysfs(root, caches):
-    """A sysfs ``cpu0/cache`` tree of ``(level, type, size)`` entries."""
-    for i, (level, kind, size) in enumerate(caches):
-        index = root / f"index{i}"
-        index.mkdir(parents=True)
-        (index / "level").write_text(f"{level}\n")
-        (index / "type").write_text(f"{kind}\n")
-        (index / "size").write_text(f"{size}\n")
-    return str(root)
+def fresh_precision(monkeypatch, env):
+    """A fresh copy of the precision module, imported under ``env``."""
+    monkeypatch.delenv("REPRO_DISTANCE_BLOCK_BYTES", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    spec = importlib.util.spec_from_file_location("fresh_precision",
+                                                  precision.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-L1 = [(1, "Data", "48K"), (1, "Instruction", "32K")]
-
-
-class TestDefaultBlockBudget:
-    @pytest.mark.parametrize("size, budget", [("2048K", 1 << 20),
-                                              ("512K", 256 << 10)])
-    def test_half_the_l2_cache(self, tmp_path, size, budget):
-        root = fake_sysfs(tmp_path, L1 + [(2, "Unified", size),
-                                          (3, "Unified", "307200K")])
-        assert precision.default_distance_block({}, root) == (
-            budget, "sysfs", 2 * budget)
-
-    def test_l2_data_cache_counts(self, tmp_path):
-        root = fake_sysfs(tmp_path, [(2, "Instruction", "4096K"),
-                                     (2, "Data", "1024K")])
-        assert precision.default_distance_block({}, root).bytes == 512 << 10
-
-    @pytest.mark.parametrize("caches", [
-        L1,                                    # no level-2 entry
-        [(2, "Instruction", "2048K")],         # level 2, but no data
-        [(2, "Unified", "")],                  # unreadable size
+class TestDistanceBlockBudget:
+    @pytest.mark.parametrize("env, budget, source", [
+        ({}, 1 << 20, "default"),
+        ({"REPRO_DISTANCE_BLOCK_BYTES": str(4 << 20)}, 4 << 20, "env"),
+        ({"REPRO_DISTANCE_BLOCK_BYTES": "1024"}, 1 << 16, "env"),  # floor
     ])
-    def test_no_l2_data_cache_falls_back(self, tmp_path, caches):
-        root = fake_sysfs(tmp_path, caches)
-        assert precision.default_distance_block({}, root) == (
-            precision.FALLBACK_DISTANCE_BLOCK_BYTES, "fallback", None)
+    def test_import_time_budget(self, monkeypatch, env, budget, source):
+        fresh = fresh_precision(monkeypatch, env)
+        assert fresh.distance_block_bytes() == budget
+        assert fresh.distance_block_source() == source
 
-    def test_missing_directory_falls_back(self, tmp_path):
-        budget = precision.default_distance_block({}, str(tmp_path / "none"))
-        assert budget == (1 << 20, "fallback", None)
-
-    def test_env_wins_over_sysfs(self, tmp_path):
-        root = fake_sysfs(tmp_path, [(2, "Unified", "2048K")])
-        env = {"REPRO_DISTANCE_BLOCK_BYTES": str(4 << 20)}
-        assert precision.default_distance_block(env, root) == (
-            4 << 20, "env", 2 << 20)
-
-    @pytest.mark.parametrize("env, caches", [
-        ({"REPRO_DISTANCE_BLOCK_BYTES": "1024"}, []),
-        ({}, [(2, "Unified", "96K")]),
-    ])
-    def test_floor_holds(self, tmp_path, env, caches):
-        root = fake_sysfs(tmp_path, caches)
-        budget = precision.default_distance_block(env, root)
-        assert budget.bytes == precision.MIN_DISTANCE_BLOCK_BYTES == 1 << 16
+    def test_override_is_reported_until_restored(self):
+        source = precision.distance_block_source()
+        assert source in ("default", "env")
+        with precision.precision(
+                block_bytes=precision.distance_block_bytes() + 1):
+            assert precision.distance_block_source() == "override"
+        assert precision.distance_block_source() == source
 
 
 class TestFloat32Clustering:

@@ -118,9 +118,9 @@ class TestClusterCaching:
         assert_identical(cold.compressed, warm.compressed)
 
     def test_block_budget_is_not_in_the_cluster_key(self):
-        """The distance block budget changes timing, not bits, and its
-        default follows the host's L2 cache: a store filled under one
-        budget must serve every cluster artifact under another."""
+        """The distance block budget changes timing, not bits: a store
+        filled under one budget must serve every cluster artifact under
+        another."""
         def digest(compressed):
             return stable_hash(*[
                 (layer.assignments, layer.codebook.codewords, layer.mask)
