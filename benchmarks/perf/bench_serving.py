@@ -18,7 +18,7 @@ batch-size histogram (was the batcher actually coalescing?), and two
 bit-equality guards: server outputs must equal
 :func:`repro.nn.serve.predict_batched` on the stacked stream *and* a
 request served alone must reproduce the coalesced result bit-for-bit
-(the canonical padded-shape property).
+(the batch-invariant-kernel property).
 
 Runnable standalone for CI gating::
 
@@ -99,7 +99,7 @@ def run(smoke: bool = False) -> Dict[str, object]:
     requests = rng.standard_normal((n, *INPUT_SHAPE))
 
     # -- sequential single-image serving (each model pinned at its own
-    #    canonical shape, so neither path pays auto re-selection per call)
+    #    batch size, so neither path pays auto re-selection per call)
     prepare_for_serving(seq_model, INPUT_SHAPE, batch_size=1)
 
     def sequential_pass():
@@ -126,8 +126,9 @@ def run(smoke: bool = False) -> Dict[str, object]:
             start = time.perf_counter()
             batched_out = server.predict_many("resnet18", requests)
             best_batched = min(best_batched, time.perf_counter() - start)
-        # bit-equality guard 2: a request served alone (batch of 1, padded
-        # to the same canonical shape) must reproduce the coalesced bits
+        # bit-equality guard 2: a request served alone (a 1-row forward:
+        # batch-invariant kernels, no padding) must reproduce the coalesced
+        # bits
         solo = np.stack([server.predict("resnet18", requests[i])
                          for i in range(min(4, n))])
         stats = server.stats_report()["models"]["resnet18"]
@@ -135,7 +136,7 @@ def run(smoke: bool = False) -> Dict[str, object]:
     # bit-equality guard 1: the server's dynamic batches vs the library's
     # fixed-size batched inference over the identical stream
     # (the reference runs on srv_model: seq_model is pinned for batch-1
-    # serving, while the claim is about the server's canonical shape)
+    # serving, while the claim is about the server's replicas)
     reference = predict_batched(srv_model, requests, batch_size=max_batch)
 
     return {
@@ -391,8 +392,11 @@ def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
             server.predict_many("resnet18", requests[:2])  # warm
             start = time.perf_counter()
             handles = [server.submit("resnet18", row) for row in requests]
-            time.sleep(0.02)            # let batches reach the workers ...
-            pool.replicas[0].kill()     # ... then SIGKILL one mid-flight
+            # once the first batch is served, the rest of the stream is
+            # still queued or in flight: SIGKILL a worker mid-load (a fixed
+            # sleep can land after a fast stream has drained)
+            handles[0].result(timeout=120.0)
+            pool.replicas[0].kill()
             for i, handle in enumerate(handles):
                 try:
                     out = handle.result(timeout=120.0)
@@ -486,7 +490,7 @@ def check_report(report: Dict[str, object]) -> list:
                       "predict_batched on the same stream")
     if not report["solo_bit_identical_to_batched"]:
         errors.append("a request served alone diverges from its coalesced "
-                      "result (canonical-shape property violated)")
+                      "result (batch-invariant-kernel property violated)")
     speedup = report["speedup_batched_vs_sequential"]
     if speedup < MIN_SPEEDUP:
         errors.append(f"dynamic batching is {speedup:.2f}x sequential serving "

@@ -39,8 +39,7 @@ from repro.nn.compressed import (
     compress_module,
     swap_to_compressed,
 )
-from repro.nn.serve import (forward_padded, pad_batch, predict_batched,
-                            prepare_for_serving)
+from repro.nn.serve import predict_batched, prepare_for_serving
 
 __all__ = [
     "Parameter",
@@ -79,8 +78,6 @@ __all__ = [
     "InferenceCostModel",
     "compress_module",
     "swap_to_compressed",
-    "forward_padded",
-    "pad_batch",
     "predict_batched",
     "prepare_for_serving",
 ]

@@ -47,7 +47,11 @@ Three execution modes per layer:
 The centroid implementations are exact (not approximations): every mode
 produces bit-comparable results up to float summation order, which the
 equivalence tests pin down across grouping strategies, mask settings and
-compute dtypes.
+compute dtypes.  Every exact forward is also batch-invariant: the dense
+path runs one GEMM per sample, and the centroid/LUT paths chunk on whole
+samples with a summation order fixed per layer, so a sample's output bits
+never depend on what it was batched with (the serving tier's bit-exactness
+rests on this).
 """
 
 from __future__ import annotations
@@ -176,6 +180,29 @@ class InferenceCostModel:
 #: grouping strategies whose subvectors lie along the GEMM reduction axis,
 #: making the centroid *forward* pass gather-form (fast segment-gather)
 _REDUCTION_SIDE = (GroupingStrategy.INPUT, GroupingStrategy.KERNEL)
+
+
+def _unit_matmul(rows3: np.ndarray, mat: np.ndarray, unit: int) -> np.ndarray:
+    """``(bc, R, K) @ (K, N) -> (bc, R, N)`` as one GEMM per ``unit`` rows.
+
+    The operand is made contiguous first: numpy runs strided stacks through
+    its own loop, whose summation order differs from BLAS.
+    """
+    bc, r, k = rows3.shape
+    stacked = np.ascontiguousarray(rows3).reshape(bc // unit, unit * r, k)
+    return np.matmul(stacked, mat).reshape(bc, r, mat.shape[1])
+
+
+def _sum_in_order(stack: np.ndarray) -> np.ndarray:
+    """Sum over the first axis strictly front to back.
+
+    ``sum(axis=0)`` does that over strided rows but sums pairwise when each
+    row is a single element, which would tie a lone one-output row's bits
+    to the batch it came in.
+    """
+    if stack[0].size == 1:
+        return np.cumsum(stack, axis=0)[-1]
+    return stack.sum(axis=0)
 
 
 class CentroidEngine:
@@ -376,11 +403,10 @@ class CentroidEngine:
     def pin_mode(self, batch: int, dtype: np.dtype) -> str:
         """Resolve ``auto`` at one batch shape and pin the result.
 
-        Steady-state serving runs every batch at one canonical shape; after
-        pinning, the engine stays on the exact code path the cost model
-        chose for that shape — no per-call re-selection, and no surprise
-        mode flips if a caller later probes with a different batch size.
-        Returns the pinned mode.
+        After pinning, the engine stays on the exact code path the cost
+        model chose for the serving batch size — no per-call re-selection,
+        and no surprise mode flips if a caller later probes with a
+        different batch size.  Returns the pinned mode.
         """
         self.mode = self.choose_mode(batch, dtype)
         return self.mode
@@ -422,9 +448,20 @@ class CentroidEngine:
         xb = xb.reshape(b, self.c_in // self.d, self.kh * self.kw, self.d)
         return np.ascontiguousarray(xb.transpose(0, 1, 3, 2)).reshape(b, self.n_in)
 
-    def _batch_chunk(self, width: int, itemsize: int) -> int:
-        """Batch rows per chunk so intermediates respect the block budget."""
+    def _chunk_rows(self, itemsize: int) -> int:
+        """Most im2col rows per chunk so the (rows, R, U) product tensor of
+        either core respects the global block budget.  A function of the
+        layer's widths only, never of the batch."""
+        self._build_table()
+        width = max(self.num_blocks, self.c_out // self.d) * self.table_size
         return max(1, distance_block_bytes() // max(1, width * itemsize))
+
+    def _route_chunk(self, out_width: int, itemsize: int) -> int:
+        """Routed reads summed per step of the gather cores, sized for a full
+        row chunk: the summation order is then fixed per layer, whatever
+        the number of rows in the chunk at hand."""
+        rows = self._chunk_rows(itemsize)
+        return max(1, distance_block_bytes() // max(1, out_width * rows * itemsize))
 
     # -- centroid-domain cores -------------------------------------------------
     # Forward and backward are the same two primitives with the roles of
@@ -439,34 +476,29 @@ class CentroidEngine:
     #   small GEMM against the table expands each segment to d outputs.
 
     def _gather_core(self, rows3: np.ndarray, route: np.ndarray,
-                     out_width: int) -> np.ndarray:
+                     out_width: int, unit: int) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
         table = self._table_as(rows3.dtype)
-        u = table.shape[0]
-        bc, r, _ = rows3.shape
-        prod = (rows3.reshape(bc * r, self.d) @ table.T).reshape(bc, r, u)
+        r = rows3.shape[1]
         # (R, U, bc) layout makes each routed read a contiguous bc-vector
-        prod = np.ascontiguousarray(prod.transpose(1, 2, 0))
-        acc = np.zeros((out_width, bc), dtype=rows3.dtype)
-        chunk = max(1, distance_block_bytes() //
-                    max(1, out_width * bc * rows3.itemsize))
+        prod = np.ascontiguousarray(
+            _unit_matmul(rows3, table.T, unit).transpose(1, 2, 0))
+        acc = np.zeros((out_width, rows3.shape[0]), dtype=rows3.dtype)
+        chunk = self._route_chunk(out_width, rows3.itemsize)
         for lo in range(0, r, chunk):
             rr = np.arange(lo, min(lo + chunk, r))
-            acc += prod[rr[:, None], route[rr]].sum(axis=0)
+            acc += _sum_in_order(prod[rr[:, None], route[rr]])
         return acc.T
 
-    def _scatter_core(self, values: np.ndarray, route: np.ndarray) -> np.ndarray:
+    def _scatter_core(self, values: np.ndarray, route: np.ndarray,
+                      unit: int) -> np.ndarray:
         """``(bc, M)`` operands segment-summed by ``route`` (R, M), then
         expanded through the table -> ``(bc, R, d)``."""
         table = self._table_as(values.dtype)
-        u = table.shape[0]
-        bc = values.shape[0]
         r = route.shape[0]
-        seg = np.zeros((r, u, bc), dtype=values.dtype)
+        seg = np.zeros((r, table.shape[0], values.shape[0]), dtype=values.dtype)
         np.add.at(seg, (np.arange(r)[:, None], route), values.T[None, :, :])
-        expanded = seg.transpose(0, 2, 1).reshape(r * bc, u) @ table
-        return np.ascontiguousarray(
-            expanded.reshape(r, bc, self.d).transpose(1, 0, 2))
+        return _unit_matmul(seg.transpose(2, 0, 1), table, unit)
 
     # -- integer/LUT cores ------------------------------------------------------
     # Same dataflow as the centroid cores, but routing runs off the
@@ -477,23 +509,22 @@ class CentroidEngine:
     # match the centroid cores exactly, which is what makes the exact LUT
     # mode bit-identical.
 
-    def _lut_gather_core(self, rows3: np.ndarray) -> np.ndarray:
+    def _lut_gather_core(self, rows3: np.ndarray, unit: int) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
         table = self._table_as(rows3.dtype)
-        u = table.shape[0]
         bc, r, _ = rows3.shape
         flat = self._lut["flat"]
         out_width = flat.shape[1]
-        prod = (rows3.reshape(bc * r, self.d) @ table.T).reshape(bc, r, u)
-        prod = np.ascontiguousarray(prod.transpose(1, 2, 0)).reshape(r * u, bc)
+        prod = np.ascontiguousarray(
+            _unit_matmul(rows3, table.T, unit).transpose(1, 2, 0))
+        prod = prod.reshape(r * table.shape[0], bc)
         acc = np.zeros((out_width, bc), dtype=rows3.dtype)
-        chunk = max(1, distance_block_bytes() //
-                    max(1, out_width * bc * rows3.itemsize))
+        chunk = self._route_chunk(out_width, rows3.itemsize)
         for lo in range(0, r, chunk):
-            acc += np.take(prod, flat[lo:lo + chunk], axis=0).sum(axis=0)
+            acc += _sum_in_order(np.take(prod, flat[lo:lo + chunk], axis=0))
         return acc.T
 
-    def _lut_scatter_core(self, values: np.ndarray) -> np.ndarray:
+    def _lut_scatter_core(self, values: np.ndarray, unit: int) -> np.ndarray:
         """``(bc, M)`` operands segment-summed via the flat-key bincount,
         then expanded through the table -> ``(bc, R, d)``."""
         table = self._table_as(values.dtype)
@@ -503,22 +534,21 @@ class CentroidEngine:
         r, m = flat.shape
         if values.dtype == np.float64:
             keys = flat.ravel()
-            seg = np.empty((r * u, bc), dtype=np.float64)
+            seg = np.empty((bc, r * u), dtype=np.float64)
             for b in range(bc):
-                seg[:, b] = np.bincount(
+                seg[b] = np.bincount(
                     keys,
                     weights=np.broadcast_to(values[b], (r, m)).ravel(),
                     minlength=r * u)
-            seg = seg.reshape(r, u, bc)
+            seg = seg.reshape(bc, r, u)
         else:
             # float32: bincount accumulates internally in float64 and would
             # break bit-identity with the centroid path — keep np.add.at
             seg = np.zeros((r, u, bc), dtype=values.dtype)
             np.add.at(seg, (np.arange(r)[:, None], self._lut["route"]),
                       values.T[None, :, :])
-        expanded = seg.transpose(0, 2, 1).reshape(r * bc, u) @ table
-        return np.ascontiguousarray(
-            expanded.reshape(r, bc, self.d).transpose(1, 0, 2))
+            seg = seg.transpose(2, 0, 1)
+        return _unit_matmul(seg, table, unit)
 
     def _snap_activations(self, x: np.ndarray) -> np.ndarray:
         """Snap to the symmetric ``2 * act_levels + 1``-point alphabet
@@ -529,30 +559,46 @@ class CentroidEngine:
         scale = amax / float(self.act_levels)
         return (np.round(x / scale) * scale).astype(x.dtype, copy=False)
 
-    def _centroid_chunks(self, total: int, itemsize: int):
-        """Batch-row chunks sized so the (bc, R, U) product tensor of
-        either core respects the global block budget."""
-        self._build_table()
-        width = max(self.num_blocks, self.c_out // self.d) * self.table_size
-        chunk = self._batch_chunk(width, itemsize)
-        for lo in range(0, total, chunk):
-            yield lo, min(lo + chunk, total)
+    def _centroid_chunks(self, total: int, itemsize: int, samples: int):
+        """``(lo, hi, unit)`` row chunks within the block budget; each run
+        of ``unit`` rows shares one table GEMM.
+
+        ``total`` rows stack ``samples`` equal per-sample blocks.  A chunk
+        holds whole samples, each running its own GEMM, or a sample too
+        large for the budget is cut into the same row pieces wherever it
+        sits, so a row's bits never depend on the samples it is batched
+        with.  The backward passes pass one sample: row pieces, one GEMM
+        each.
+        """
+        rows = self._chunk_rows(itemsize)
+        per = max(1, total // max(1, samples))
+        if per <= rows:
+            step = rows // per * per
+            for lo in range(0, total, step):
+                yield lo, min(lo + step, total), per
+        else:
+            for start in range(0, total, per):
+                for lo in range(start, start + per, rows):
+                    hi = min(lo + rows, start + per)
+                    yield lo, hi, hi - lo
 
     # -- centroid-domain forward ----------------------------------------------
-    def _forward_gather(self, cols: np.ndarray) -> np.ndarray:
+    def _forward_gather(self, cols: np.ndarray, samples: int) -> np.ndarray:
         """Gather-form: skinny table GEMM, then fused segment-gather."""
         out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
+        for lo, hi, unit in self._centroid_chunks(cols.shape[0], cols.itemsize,
+                                                  samples):
             out[lo:hi] = self._gather_core(
-                self._to_blocks(cols[lo:hi]), self._assign2d.T, self.c_out)
+                self._to_blocks(cols[lo:hi]), self._assign2d.T, self.c_out, unit)
         return out
 
-    def _forward_scatter(self, cols: np.ndarray) -> np.ndarray:
+    def _forward_scatter(self, cols: np.ndarray, samples: int) -> np.ndarray:
         """Scatter-form (OUTPUT grouping): segment-sum activations per
         codeword and output group, then one small GEMM against the table."""
         out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
-            partial = self._scatter_core(cols[lo:hi], self._assign2d)
+        for lo, hi, unit in self._centroid_chunks(cols.shape[0], cols.itemsize,
+                                                  samples):
+            partial = self._scatter_core(cols[lo:hi], self._assign2d, unit)
             out[lo:hi] = partial.reshape(hi - lo, self.c_out)
         return out
 
@@ -561,21 +607,25 @@ class CentroidEngine:
         """OUTPUT grouping: the transpose product is gather-form."""
         n_go = self.c_out // self.d
         grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
+        for lo, hi, unit in self._centroid_chunks(grad_out.shape[0],
+                                                  grad_out.itemsize, 1):
             rows3 = grad_out[lo:hi].reshape(hi - lo, n_go, self.d)
-            grad_cols[lo:hi] = self._gather_core(rows3, self._assign2d, self.n_in)
+            grad_cols[lo:hi] = self._gather_core(rows3, self._assign2d,
+                                                 self.n_in, unit)
         return grad_cols
 
     def _backward_scatter(self, grad_out: np.ndarray) -> np.ndarray:
         """INPUT/KERNEL grouping: scatter grad_out per codeword, then GEMM."""
         grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
-            blocks3 = self._scatter_core(grad_out[lo:hi], self._assign2d.T)
+        for lo, hi, unit in self._centroid_chunks(grad_out.shape[0],
+                                                  grad_out.itemsize, 1):
+            blocks3 = self._scatter_core(grad_out[lo:hi], self._assign2d.T, unit)
             grad_cols[lo:hi] = self._from_blocks(blocks3)
         return grad_cols
 
     # -- integer/LUT forward/backward ------------------------------------------
-    def _forward_lut(self, cols: np.ndarray, quant: bool) -> np.ndarray:
+    def _forward_lut(self, cols: np.ndarray, samples: int,
+                     quant: bool) -> np.ndarray:
         """Exact LUT forward, or (``quant``) the quantized-activation variant
         accumulating in the wide dtype with the narrow compute dtype only at
         the boundary."""
@@ -584,11 +634,13 @@ class CentroidEngine:
         if quant:
             work = self._snap_activations(cols).astype(accum_dtype(), copy=False)
         out = np.empty((work.shape[0], self.c_out), dtype=work.dtype)
-        for lo, hi in self._centroid_chunks(work.shape[0], work.itemsize):
+        for lo, hi, unit in self._centroid_chunks(work.shape[0], work.itemsize,
+                                                  samples):
             if self.gather_forward:
-                out[lo:hi] = self._lut_gather_core(self._to_blocks(work[lo:hi]))
+                out[lo:hi] = self._lut_gather_core(
+                    self._to_blocks(work[lo:hi]), unit)
             else:
-                partial = self._lut_scatter_core(work[lo:hi])
+                partial = self._lut_scatter_core(work[lo:hi], unit)
                 out[lo:hi] = partial.reshape(hi - lo, self.c_out)
         return out.astype(cols.dtype, copy=False)
 
@@ -602,26 +654,33 @@ class CentroidEngine:
                                                            copy=False)
         grad_cols = np.empty((work.shape[0], self.n_in), dtype=work.dtype)
         n_go = self.c_out // self.d
-        for lo, hi in self._centroid_chunks(work.shape[0], work.itemsize):
+        for lo, hi, unit in self._centroid_chunks(work.shape[0], work.itemsize, 1):
             if self.gather_forward:      # forward gathered -> backward scatters
-                blocks3 = self._lut_scatter_core(work[lo:hi])
+                blocks3 = self._lut_scatter_core(work[lo:hi], unit)
                 grad_cols[lo:hi] = self._from_blocks(blocks3)
             else:                        # OUTPUT: the transpose product gathers
                 rows3 = work[lo:hi].reshape(hi - lo, n_go, self.d)
-                grad_cols[lo:hi] = self._lut_gather_core(rows3)
+                grad_cols[lo:hi] = self._lut_gather_core(rows3, unit)
         return grad_cols.astype(grad_out.dtype, copy=False)
 
     # -- public entry points --------------------------------------------------
-    def forward(self, cols: np.ndarray) -> np.ndarray:
+    def forward(self, cols: np.ndarray, samples: int) -> np.ndarray:
+        """``cols`` stacks ``samples`` equal blocks of rows, one per sample.
+
+        Every exact mode runs fixed-shape kernels per sample, so a sample's
+        output bits do not depend on the batch it came in.  ``lut_quant``
+        does: its activation scale spans the whole call.
+        """
         mode = self.choose_mode(cols.shape[0], cols.dtype)
         self.last_mode = mode
         if mode == "dense":
-            return cols @ self.weight_matrix(cols.dtype).T
+            return F.sample_matmul(cols, self.weight_matrix(cols.dtype).T,
+                                   samples)
         if mode in ("lut", "lut_quant"):
-            return self._forward_lut(cols, quant=(mode == "lut_quant"))
+            return self._forward_lut(cols, samples, quant=(mode == "lut_quant"))
         if self.gather_forward:
-            return self._forward_gather(cols)
-        return self._forward_scatter(cols)
+            return self._forward_gather(cols, samples)
+        return self._forward_scatter(cols, samples)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mode = self.choose_mode(grad_out.shape[0], grad_out.dtype)
@@ -674,7 +733,8 @@ class CompressedLinear(Module):
         x = np.asarray(x).astype(self.dtype, copy=False)
         self._cache = x.shape
         x2d = x.reshape(-1, self.in_features)
-        out = self.engine.forward(np.ascontiguousarray(x2d))
+        out = self.engine.forward(np.ascontiguousarray(x2d),
+                                  x.shape[0] if x.ndim > 1 else 1)
         if self.bias is not None:
             out += self.bias.value
         return out.reshape(*x.shape[:-1], self.out_features)
@@ -693,8 +753,9 @@ class CompressedConv2d(Module):
 
     Keeps Conv2d's interface surface (channel/kernel/stride attributes and
     the im2col ``_cache``) so FLOPs counting and downstream tooling treat
-    it as a convolution.  Holds a persistent im2col buffer that batched
-    serving (:func:`repro.nn.serve.predict_batched`) reuses across calls.
+    it as a convolution.  Holds a persistent im2col buffer, sized for the
+    largest batch seen, that batched serving
+    (:func:`repro.nn.serve.predict_batched`) reuses across calls.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -740,16 +801,19 @@ class CompressedConv2d(Module):
                    dtype=layer.weight.value.dtype)
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
+        """im2col into a prefix of one persistent buffer, kept at the most
+        rows seen, so batches of any size stop reallocating."""
         n, _, h, w = x.shape
         k = self.kernel_size
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
-        shape = (n * out_h * out_w, self.in_channels * k * k)
+        rows, width = n * out_h * out_w, self.in_channels * k * k
         buf = self._col_buffer
-        if buf is None or buf.shape != shape or buf.dtype != x.dtype:
-            buf = np.empty(shape, dtype=x.dtype)
+        if (buf is None or buf.shape[0] < rows or buf.shape[1] != width
+                or buf.dtype != x.dtype):
+            buf = np.empty((rows, width), dtype=x.dtype)
             self._col_buffer = buf
-        return F.im2col(x, (k, k), self.stride, self.padding, out=buf)
+        return F.im2col(x, (k, k), self.stride, self.padding, out=buf[:rows])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x).astype(self.dtype, copy=False)
@@ -758,7 +822,7 @@ class CompressedConv2d(Module):
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
         cols = self._columns(x)
-        out = self.engine.forward(cols)
+        out = self.engine.forward(cols, n)
         if self.bias is not None:
             out += self.bias.value
         self._cache = (cols, x.shape)

@@ -66,6 +66,20 @@ def im2col(
     return out
 
 
+def sample_matmul(rows: np.ndarray, w_t: np.ndarray, samples: int) -> np.ndarray:
+    """``rows @ w_t`` as one fixed-shape GEMM per sample.
+
+    ``rows`` stacks ``samples`` equal blocks of consecutive rows, one block
+    per sample (its im2col rows, or its sequence positions).  BLAS picks its
+    kernel by the row count (a 1-row product even runs as a GEMV), so one
+    GEMM over the whole batch gives a sample different bits depending on
+    what it was batched with; a GEMM per sample does not.
+    """
+    per = rows.shape[0] // max(samples, 1)
+    out = np.matmul(rows.reshape(samples, per, rows.shape[1]), w_t)
+    return out.reshape(rows.shape[0], w_t.shape[1])
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -114,7 +128,7 @@ def conv2d_forward(
 
     cols = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(c_out, -1)
-    out = cols @ w_mat.T
+    out = sample_matmul(cols, w_mat.T, n)
     if bias is not None:
         out += bias
     out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)

@@ -33,7 +33,7 @@ class Conv2d(Module):
         super().__init__()
         if groups not in (1, in_channels):
             raise ValueError("Conv2d supports groups=1 (dense) or groups=in_channels (depthwise)")
-        if groups == in_channels and out_channels != in_channels:
+        if groups == in_channels > 1 and out_channels != in_channels:
             raise ValueError("depthwise convolution requires out_channels == in_channels")
         rng = rng or init.default_rng()
         self.in_channels = in_channels
@@ -113,7 +113,11 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x).astype(self.weight.value.dtype, copy=False)
         self._cache = x
-        out = x @ self.weight.value.T
+        # one GEMM per sample (leading axis): batch-invariant output bits
+        rows = x.reshape(-1, self.in_features)
+        out = F.sample_matmul(rows, self.weight.value.T,
+                              x.shape[0] if x.ndim > 1 else 1)
+        out = out.reshape(*x.shape[:-1], self.out_features)
         if self.bias is not None:
             out += self.bias.value
         return out

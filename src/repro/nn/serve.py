@@ -1,21 +1,22 @@
 """Batched inference serving on top of the compressed-domain engine.
 
 :func:`predict_batched` is the steady-state serving loop: it slices a
-request stream into fixed-size batches and pushes them through the model in
-eval mode.  Keeping the batch shape constant is what lets every
-:class:`~repro.nn.compressed.CompressedConv2d` reuse its persistent im2col
-buffer call after call — the last partial batch is zero-padded up to the
-batch size (and the padding outputs dropped) for exactly that reason.
+request stream into batches of at most ``batch_size`` rows and pushes each
+through the model in eval mode, the last short batch at its real size.
+Every compressed convolution im2cols into a prefix of one persistent
+buffer, kept at the largest batch seen, so varying batch sizes do not
+reallocate.
 
-The same canonical-shape trick is what makes dynamic batching (the
-``repro.serve`` model server) *bit-exact*: a batch padded to a fixed shape
-runs the identical kernel schedule regardless of how many rows are real or
-where a request landed in the batch, so a request served alone produces the
-same bits as the same request coalesced with seven strangers.
-:func:`forward_padded` is that one-batch primitive, shared by this module's
-loop and the server's workers; :func:`prepare_for_serving` warms a model's
-caches at the canonical shape and pins ``auto`` engine modes so steady-state
-serving never re-runs the cost model (or changes its mind) mid-traffic.
+Batch-invariant kernels are what make dynamic batching (the
+``repro.serve`` model server) *bit-exact*: every exact forward runs a
+fixed-shape GEMM per sample (:func:`repro.nn.functional.sample_matmul`)
+and the compressed engines chunk on whole samples, so a request served
+alone produces the same bits as the same request coalesced with seven
+strangers, at any batch size and in any position.  The one exception is
+the approximate ``lut_quant`` mode, whose activation scale spans the whole
+batch.  :func:`prepare_for_serving` warms a model's caches and pins
+``auto`` engine modes so steady-state serving never re-runs the cost model
+(or changes its mind) mid-traffic.
 """
 
 from __future__ import annotations
@@ -27,43 +28,19 @@ import numpy as np
 from repro.nn.module import Module
 
 
-def pad_batch(batch: np.ndarray, batch_size: int) -> Tuple[np.ndarray, int]:
-    """Zero-pad ``batch`` up to ``batch_size`` rows; returns ``(padded, valid)``.
-
-    ``valid`` is the original row count; rows past it are zeros.  A batch
-    already at (or above) ``batch_size`` is returned as-is.
-    """
-    valid = batch.shape[0]
-    if valid >= batch_size:
-        return batch, valid
-    padded = np.zeros((batch_size, *batch.shape[1:]), dtype=batch.dtype)
-    padded[:valid] = batch
-    return padded, valid
-
-
-def forward_padded(model: Module, batch: np.ndarray, batch_size: int) -> np.ndarray:
-    """Forward one batch at the canonical ``batch_size`` shape.
-
-    Pads with zero rows, forwards, and drops the padding outputs — the
-    fixed-shape primitive that keeps im2col buffers warm and batched
-    outputs bit-identical to individually-served ones.
-    """
-    padded, valid = pad_batch(np.asarray(batch), batch_size)
-    return np.asarray(model.forward(padded))[:valid]
-
-
 def prepare_for_serving(model: Module, input_shape: Tuple[int, ...],
                         batch_size: int, dtype=np.float64) -> Module:
-    """Warm ``model`` for steady-state serving at one canonical batch shape.
+    """Warm ``model`` for serving batches of up to ``batch_size`` rows.
 
     Puts the model in eval mode and forwards one zero batch of shape
     ``(batch_size, *input_shape)`` so every compressed module builds its
-    effective-codeword table / cached dense weight / im2col buffer *before*
-    the first real request.  Compressed engines left in ``"auto"`` mode are
-    then pinned to whatever the cost model chose at this shape: mode
-    selection depends on the batch row count, and pinning it keeps every
-    subsequent forward on the identical code path (a prerequisite for
-    bit-stable serving).  Returns the model for chaining.
+    effective-codeword table / cached dense weight / im2col buffer (at the
+    largest batch, so smaller ones reuse a prefix) *before* the first real
+    request.  Compressed engines left in ``"auto"`` mode are then pinned to
+    whatever the cost model chose at this shape, which keeps every
+    subsequent forward on the identical code path with no per-call
+    re-selection (a prerequisite for bit-stable serving).  Returns the
+    model for chaining.
     """
     model.eval()
     warm = np.zeros((batch_size, *input_shape), dtype=dtype)
@@ -84,21 +61,12 @@ def prepare_for_serving(model: Module, input_shape: Tuple[int, ...],
     return model
 
 
-def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 32,
-                    pad_partial: bool = True) -> np.ndarray:
-    """Forward ``inputs`` through ``model`` in fixed-size batches.
+def predict_batched(model: Module, inputs: np.ndarray,
+                    batch_size: int = 32) -> np.ndarray:
+    """Forward ``inputs`` through ``model`` in batches of ``batch_size`` rows.
 
-    Parameters
-    ----------
-    inputs:
-        Stacked requests, shape ``(num_samples, ...)``.
-    batch_size:
-        Rows per forward call.  All full batches share one activation
-        shape, so compressed convolutions hit their im2col buffers.
-    pad_partial:
-        Zero-pad the final short batch up to ``batch_size`` (padding rows
-        are discarded from the output).  Keeps buffer shapes stable for a
-        stream of arbitrary length; disable to forward the tail as-is.
+    ``inputs`` stacks the requests, shape ``(num_samples, ...)``; the last
+    batch may be short.  Outputs do not depend on ``batch_size``.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -109,15 +77,10 @@ def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 32,
     try:
         outputs: Optional[np.ndarray] = None
         for lo in range(0, n, batch_size):
-            batch = inputs[lo:lo + batch_size]
-            valid = batch.shape[0]
-            if pad_partial:
-                out = forward_padded(model, batch, batch_size)
-            else:
-                out = np.asarray(model.forward(batch))[:valid]
+            out = np.asarray(model.forward(inputs[lo:lo + batch_size]))
             if outputs is None:
                 outputs = np.empty((n, *out.shape[1:]), dtype=out.dtype)
-            outputs[lo:lo + valid] = out
+            outputs[lo:lo + out.shape[0]] = out
         if outputs is None:
             raise ValueError("predict_batched needs at least one input row")
         return outputs

@@ -6,7 +6,7 @@ The serving layer over the decode-free compressed-domain engine:
   request queue with max-batch-size / max-wait coalescing and an explicit
   shed-or-block overload policy.
 * :class:`~repro.serve.server.ModelServer` — multi-model registry with
-  per-model worker pools, canonical-shape (bit-stable) batch execution and
+  per-model worker pools, batch-invariant (bit-stable) batch execution and
   p50/p95 latency + throughput + batch-histogram stats.
 * :mod:`~repro.serve.errors` — the typed error taxonomy every failed
   request resolves with (stable ``code`` per failure mode).

@@ -38,8 +38,7 @@ class BatchPolicy:
     """Knobs of the dynamic batcher.
 
     ``max_batch_size``
-        Upper bound on coalesced batch size (and, with
-        ``pad_to_full_batch``, the canonical forward shape).
+        Upper bound on coalesced batch size.
     ``max_wait_ms``
         How long the oldest queued request may wait for co-travellers
         before the batch is flushed partially filled.
@@ -48,18 +47,12 @@ class BatchPolicy:
     ``overload``
         ``"shed"`` rejects over-limit submissions with
         :class:`ServerOverloaded`; ``"block"`` makes submitters wait.
-    ``pad_to_full_batch``
-        Zero-pad every executed batch up to ``max_batch_size`` so all
-        forwards share one shape — compressed convolutions keep their
-        persistent im2col buffers *and* outputs are bit-identical no matter
-        how requests were coalesced (see ``repro.nn.serve``).
     """
 
     max_batch_size: int = 8
     max_wait_ms: float = 2.0
     max_queue_size: int = 256
     overload: str = "shed"
-    pad_to_full_batch: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:

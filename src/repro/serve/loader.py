@@ -27,8 +27,7 @@ from repro.serve.batcher import BatchPolicy
 from repro.serve.errors import ManifestError
 
 #: keys of a scenario's ``serving`` section mapped onto BatchPolicy fields
-_POLICY_KEYS = ("max_batch_size", "max_wait_ms", "max_queue_size", "overload",
-                "pad_to_full_batch")
+_POLICY_KEYS = ("max_batch_size", "max_wait_ms", "max_queue_size", "overload")
 
 
 def policy_from_spec(spec: Optional[Dict[str, Any]] = None,

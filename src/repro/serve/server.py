@@ -3,9 +3,12 @@
 :class:`ModelServer` holds a registry of named models, each with its own
 :class:`~repro.serve.batcher.DynamicBatcher`, batching policy, worker pool
 and :class:`~repro.serve.metrics.ServingMetrics`.  Workers pull coalesced
-batches off the queue, stack the request payloads, forward them at the
-canonical padded batch shape (:func:`repro.nn.serve.forward_padded`) and
-scatter the output rows back to the per-request futures.
+batches off the queue, stack the request payloads, forward only the live
+rows and scatter the output rows back to the per-request futures.  The
+forward kernels are batch-invariant (see :mod:`repro.nn.serve`), so a
+request's bits do not depend on how it was coalesced; the approximate
+``lut_quant`` engine mode is the exception, its activation scale spans the
+whole batch.
 
 Models are served from the compressed-domain modules of
 :mod:`repro.nn.compressed` (the loader swaps them in), so a running server
@@ -57,7 +60,7 @@ import numpy as np
 from repro.core import telemetry
 from repro.core.faults import FaultPlan, FaultRule, fault_point
 from repro.nn.module import Module
-from repro.nn.serve import forward_padded, prepare_for_serving
+from repro.nn.serve import prepare_for_serving
 from repro.serve.batcher import BatchPolicy, DynamicBatcher, Request
 from repro.serve.errors import (
     EngineFault,
@@ -256,8 +259,8 @@ class ModelServer:
         """Add a model (or a list of replicas — one worker thread each).
 
         ``input_shape`` enables submit-time shape validation and, together
-        with ``warmup``, pre-builds every replica's serving caches at the
-        canonical batch shape before the first request lands.
+        with ``warmup``, pre-builds every replica's serving caches at
+        ``max_batch_size`` before the first request lands.
         ``fault_policy`` overrides the server-wide retry/deadline/quarantine
         defaults for this model.
         """
@@ -273,7 +276,7 @@ class ModelServer:
             if name in self._entries:
                 raise ValueError(f"model {name!r} is already registered")
         # warm *before* publishing the entry: a replica that cannot forward
-        # at the canonical shape must fail this call, not linger as a
+        # a full batch must fail this call, not linger as a
         # registered model whose queue no worker ever drains
         entry = _ModelEntry(name, replicas, policy or self.default_policy,
                             fault_policy or self.default_fault_policy,
@@ -468,9 +471,6 @@ class ModelServer:
     def _forward_replica(self, entry: _ModelEntry, state: _ReplicaState,
                          stacked: np.ndarray) -> np.ndarray:
         fault_point("serve.replica.forward")
-        if entry.policy.pad_to_full_batch:
-            return forward_padded(state.model, stacked,
-                                  entry.policy.max_batch_size)
         return np.asarray(state.model.forward(stacked))
 
     def _degrade(self, entry: _ModelEntry, state: _ReplicaState) -> None:

@@ -48,10 +48,32 @@ class TestBitEquality:
     def test_request_served_alone_matches_coalesced(self, server, rng):
         x = rng.normal(size=(8, *INPUT_SHAPE))
         coalesced = server.predict_many("stack", x)
-        # one at a time: each forward still runs at the canonical padded
-        # shape, so the bits cannot depend on who shared the batch
+        # one at a time: each forward runs batch-invariant kernels, so the
+        # bits cannot depend on who shared the batch
         solo = np.stack([server.predict("stack", row) for row in x])
         assert np.array_equal(solo, coalesced)
+
+    def test_lone_request_runs_a_one_row_forward(self, rng, monkeypatch):
+        model = _compressed_stack()
+        srv = ModelServer()
+        srv.register("stack", model,
+                     policy=BatchPolicy(max_batch_size=4, max_wait_ms=2.0),
+                     input_shape=INPUT_SHAPE)
+        rows = []
+        forward = model.forward
+
+        def spy(batch):
+            rows.append(len(batch))
+            return forward(batch)
+
+        monkeypatch.setattr(model, "forward", spy)
+        x = rng.normal(size=(8, *INPUT_SHAPE))
+        with srv:
+            coalesced = srv.predict_many("stack", x)
+            rows.clear()
+            solo = srv.predict("stack", x[5])
+        assert rows == [1]          # no padding up to max_batch_size
+        assert np.array_equal(solo, coalesced[5])
 
     def test_interleaved_concurrent_clients_get_their_own_rows(self, server, rng):
         x = rng.normal(size=(24, *INPUT_SHAPE))

@@ -69,6 +69,26 @@ class TestBitExactness:
         assert np.array_equal(batched, reference)
         assert np.array_equal(solo, batched[:3])
 
+    def test_lone_request_ships_one_row(self, pool, requests, monkeypatch):
+        shipped = []
+        for replica in pool.replicas:
+            def spy(batch, forward=replica.forward):
+                shipped.append(len(batch))
+                return forward(batch)
+            monkeypatch.setattr(replica, "forward", spy)
+        server = ModelServer()
+        pool.register_with(server, "tiny",
+                           policy=BatchPolicy(max_batch_size=4,
+                                              max_wait_ms=2.0))
+        with server:
+            coalesced = server.predict_many("tiny", requests[:4])
+            shipped.clear()
+            solo = server.predict("tiny", requests[2])
+        # only the live row crosses the pipe, and the worker's 1-row
+        # forward reproduces the coalesced bits
+        assert shipped == [1]
+        assert np.array_equal(solo, coalesced[2])
+
     def test_direct_forward_matches_reference(self, compressed_pair, pool,
                                               requests):
         _, thread_replica = compressed_pair
