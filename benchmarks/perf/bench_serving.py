@@ -215,10 +215,10 @@ def run_fault_mode(smoke: bool = False) -> Dict[str, object]:
         "throughput_rps": n / elapsed,
         "latency_ms_p50": stats["latency_ms"]["p50"],
         "latency_ms_p95": stats["latency_ms"]["p95"],
-        "requests_ok": ok,
-        "requests_typed_error": typed_errors,
-        "requests_unresolved": unresolved,
-        "successes_bit_identical": mismatched == 0,
+        "requests_ok": counts["ok"],
+        "requests_typed_error": counts["typed_errors"],
+        "requests_unresolved": counts["unresolved"],
+        "successes_bit_identical": counts["mismatched"] == 0,
         "injections": sum(plan.summary()["injections"].values()),
         "faults": stats["faults"],
     }
@@ -383,7 +383,20 @@ def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
         compressed, ("factory", resnet18_mini, {"num_classes": 5, "seed": 1}),
         INPUT_SHAPE, workers=SHARDED_WORKERS, mode="auto",
         max_batch_size=max_batch)
-    ok = mismatched = typed_errors = unresolved = 0
+    counts = dict(ok=0, mismatched=0, typed_errors=0, unresolved=0)
+
+    def settle(i, handle):
+        try:
+            out = handle.result(timeout=120.0)
+        except ServingError:
+            counts["typed_errors"] += 1  # resolved: a typed error, not a hang
+        except TimeoutError:
+            counts["unresolved"] += 1    # the wait itself timed out: a hang
+        else:
+            counts["ok"] += 1
+            if not np.array_equal(out, reference[i]):
+                counts["mismatched"] += 1
+
     try:
         server = ModelServer()
         pool.register_with(server, "resnet18", policy=policy,
@@ -392,22 +405,13 @@ def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
             server.predict_many("resnet18", requests[:2])  # warm
             start = time.perf_counter()
             handles = [server.submit("resnet18", row) for row in requests]
-            # once the first batch is served, the rest of the stream is
-            # still queued or in flight: SIGKILL a worker mid-load (a fixed
+            # SIGKILL a worker once the first request has resolved, while
+            # most of the stream is still queued or in flight (a fixed
             # sleep can land after a fast stream has drained)
-            handles[0].result(timeout=120.0)
+            settle(0, handles[0])
             pool.replicas[0].kill()
-            for i, handle in enumerate(handles):
-                try:
-                    out = handle.result(timeout=120.0)
-                except ServingError:
-                    typed_errors += 1   # resolved: a typed error, not a hang
-                except TimeoutError:
-                    unresolved += 1     # the wait itself timed out: a hang
-                else:
-                    ok += 1
-                    if not np.array_equal(out, reference[i]):
-                        mismatched += 1
+            for i, handle in enumerate(handles[1:], start=1):
+                settle(i, handle)
             elapsed = time.perf_counter() - start
             # attribute read only — pool.info() would itself re-spawn
             respawns = sum(r.respawns for r in pool.replicas)
@@ -418,10 +422,10 @@ def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
         "num_requests": n,
         "workers": SHARDED_WORKERS,
         "throughput_rps": n / elapsed,
-        "requests_ok": ok,
-        "requests_typed_error": typed_errors,
-        "requests_unresolved": unresolved,
-        "successes_bit_identical": mismatched == 0,
+        "requests_ok": counts["ok"],
+        "requests_typed_error": counts["typed_errors"],
+        "requests_unresolved": counts["unresolved"],
+        "successes_bit_identical": counts["mismatched"] == 0,
         "respawns": respawns,
     }
 

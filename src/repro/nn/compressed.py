@@ -182,17 +182,6 @@ class InferenceCostModel:
 _REDUCTION_SIDE = (GroupingStrategy.INPUT, GroupingStrategy.KERNEL)
 
 
-def _unit_matmul(rows3: np.ndarray, mat: np.ndarray, unit: int) -> np.ndarray:
-    """``(bc, R, K) @ (K, N) -> (bc, R, N)`` as one GEMM per ``unit`` rows.
-
-    The operand is made contiguous first: numpy runs strided stacks through
-    its own loop, whose summation order differs from BLAS.
-    """
-    bc, r, k = rows3.shape
-    stacked = np.ascontiguousarray(rows3).reshape(bc // unit, unit * r, k)
-    return np.matmul(stacked, mat).reshape(bc, r, mat.shape[1])
-
-
 def _sum_in_order(stack: np.ndarray) -> np.ndarray:
     """Sum over the first axis strictly front to back.
 
@@ -479,11 +468,12 @@ class CentroidEngine:
                      out_width: int, unit: int) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
         table = self._table_as(rows3.dtype)
-        r = rows3.shape[1]
-        # (R, U, bc) layout makes each routed read a contiguous bc-vector
-        prod = np.ascontiguousarray(
-            _unit_matmul(rows3, table.T, unit).transpose(1, 2, 0))
-        acc = np.zeros((out_width, rows3.shape[0]), dtype=rows3.dtype)
+        bc, r, d = rows3.shape
+        # one table GEMM per `unit` rows; the (R, U, bc) layout makes each
+        # routed read a contiguous bc-vector
+        prod = F.sample_matmul(rows3.reshape(-1, d), table.T, bc // unit)
+        prod = np.ascontiguousarray(prod.reshape(bc, r, -1).transpose(1, 2, 0))
+        acc = np.zeros((out_width, bc), dtype=rows3.dtype)
         chunk = self._route_chunk(out_width, rows3.itemsize)
         for lo in range(0, r, chunk):
             rr = np.arange(lo, min(lo + chunk, r))
@@ -495,10 +485,12 @@ class CentroidEngine:
         """``(bc, M)`` operands segment-summed by ``route`` (R, M), then
         expanded through the table -> ``(bc, R, d)``."""
         table = self._table_as(values.dtype)
-        r = route.shape[0]
-        seg = np.zeros((r, table.shape[0], values.shape[0]), dtype=values.dtype)
+        u, d = table.shape
+        bc, r = values.shape[0], route.shape[0]
+        seg = np.zeros((r, u, bc), dtype=values.dtype)
         np.add.at(seg, (np.arange(r)[:, None], route), values.T[None, :, :])
-        return _unit_matmul(seg.transpose(2, 0, 1), table, unit)
+        seg = seg.transpose(2, 0, 1).reshape(-1, u)
+        return F.sample_matmul(seg, table, bc // unit).reshape(bc, r, d)
 
     # -- integer/LUT cores ------------------------------------------------------
     # Same dataflow as the centroid cores, but routing runs off the
@@ -512,11 +504,11 @@ class CentroidEngine:
     def _lut_gather_core(self, rows3: np.ndarray, unit: int) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
         table = self._table_as(rows3.dtype)
-        bc, r, _ = rows3.shape
+        bc, r, d = rows3.shape
         flat = self._lut["flat"]
         out_width = flat.shape[1]
-        prod = np.ascontiguousarray(
-            _unit_matmul(rows3, table.T, unit).transpose(1, 2, 0))
+        prod = F.sample_matmul(rows3.reshape(-1, d), table.T, bc // unit)
+        prod = np.ascontiguousarray(prod.reshape(bc, r, -1).transpose(1, 2, 0))
         prod = prod.reshape(r * table.shape[0], bc)
         acc = np.zeros((out_width, bc), dtype=rows3.dtype)
         chunk = self._route_chunk(out_width, rows3.itemsize)
@@ -548,7 +540,8 @@ class CentroidEngine:
             np.add.at(seg, (np.arange(r)[:, None], self._lut["route"]),
                       values.T[None, :, :])
             seg = seg.transpose(2, 0, 1)
-        return _unit_matmul(seg, table, unit)
+        return F.sample_matmul(seg.reshape(-1, u), table,
+                               bc // unit).reshape(bc, r, table.shape[1])
 
     def _snap_activations(self, x: np.ndarray) -> np.ndarray:
         """Snap to the symmetric ``2 * act_levels + 1``-point alphabet

@@ -37,21 +37,35 @@ def im2col(
     ``out`` may supply a preallocated ``(N * out_h * out_w, C * kh * kw)``
     buffer (matching dtype) that receives that copy — serving loops reuse
     one buffer across calls instead of allocating per batch.
+
+    Padding keeps the input's memory order: a channels-last input (a
+    convolution's output seen through its NCHW transpose) is padded
+    channels-last, which spares the padding copy a transpose and makes
+    the final copy cheaper.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
 
+    # (N, H, W, C) or (N, C, H, W), whichever the input's memory order is
+    channels_last = (not x.flags.c_contiguous
+                     and x.transpose(0, 2, 3, 1).flags.c_contiguous)
+    lowered = x.transpose(0, 2, 3, 1) if channels_last else x
+    spatial = (1, 2) if channels_last else (2, 3)
     if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
+        pads = [(0, 0)] * 4
+        for axis in spatial:
+            pads[axis] = (padding, padding)
+        lowered = np.pad(lowered, pads, mode="constant")
 
-    # (N, C, H', W', kh, kw) strided view of every receptive field
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    # strided view of every receptive field, as (N, H', W', C, kh, kw)
+    windows = np.lib.stride_tricks.sliding_window_view(lowered, (kh, kw),
+                                                       axis=spatial)
+    if not channels_last:
+        windows = windows.transpose(0, 2, 3, 1, 4, 5)
     if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
+        windows = windows[:, ::stride, ::stride]
 
     rows, width = n * out_h * out_w, c * kh * kw
     if out is None:
@@ -62,7 +76,7 @@ def im2col(
             f"got {out.shape} {out.dtype}"
         )
     # (N, out_h, out_w, C, kh, kw) -> rows; the assignment is the one copy
-    out.reshape(n, out_h, out_w, c, kh, kw)[...] = windows.transpose(0, 2, 3, 1, 4, 5)
+    out.reshape(n, out_h, out_w, c, kh, kw)[...] = windows
     return out
 
 
@@ -73,11 +87,13 @@ def sample_matmul(rows: np.ndarray, w_t: np.ndarray, samples: int) -> np.ndarray
     per sample (its im2col rows, or its sequence positions).  BLAS picks its
     kernel by the row count (a 1-row product even runs as a GEMV), so one
     GEMM over the whole batch gives a sample different bits depending on
-    what it was batched with; a GEMM per sample does not.
+    what it was batched with; a GEMM per sample does not.  The operand is
+    made contiguous first: numpy runs strided stacks through its own loop,
+    whose summation order differs from BLAS.
     """
     per = rows.shape[0] // max(samples, 1)
-    out = np.matmul(rows.reshape(samples, per, rows.shape[1]), w_t)
-    return out.reshape(rows.shape[0], w_t.shape[1])
+    stacked = np.ascontiguousarray(rows).reshape(samples, per, rows.shape[1])
+    return np.matmul(stacked, w_t).reshape(rows.shape[0], w_t.shape[1])
 
 
 def col2im(

@@ -215,3 +215,16 @@ class TestIm2colBuffer:
                                j * stride:j * stride + k]
                     np.testing.assert_array_equal(cols[row], field.reshape(-1))
                     row += 1
+
+    @pytest.mark.parametrize("stride, padding, k", [(1, 1, 3), (2, 1, 3),
+                                                    (2, 0, 1), (1, 0, 3)])
+    def test_channels_last_input_gives_the_same_columns(self, rng, stride,
+                                                        padding, k):
+        """A channels-last input (a conv output seen through its NCHW
+        transpose) is padded channels-last; its columns are the NCHW ones."""
+        x_nhwc = rng.normal(size=(3, 6, 7, 4))
+        x = x_nhwc.transpose(0, 3, 1, 2)
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(
+            F.im2col(x, (k, k), stride, padding),
+            F.im2col(np.ascontiguousarray(x), (k, k), stride, padding))
