@@ -88,35 +88,34 @@ def _compressed_workload(p: Dict[str, object]) -> Dict[str, object]:
     baseline_s = best_of(lambda: _reconstruct_forward(states, x), p["repeats"])
     compressed_s = best_of(lambda: model.forward(x), p["repeats"])
 
+    reference = _reconstruct_forward(states, x)
+
     # mode-forced timings for transparency: what auto chose between
     for mod in model:
         mod.engine.mode = "dense"
     dense_cached_s = best_of(lambda: model.forward(x), p["repeats"])
-    for mod in model:
-        mod.engine.mode = "centroid"
-    centroid_s = best_of(lambda: model.forward(x), p["repeats"])
-    centroid_out = model.forward(x)
 
-    # the integer/LUT fast path: precomputed routing tables, gather/
-    # scatter-accumulate inner loop.  Exact LUT must be bit-identical to
-    # the centroid path; lut_quant trades a bounded activation-snap error
-    # for cheaper accumulation.
+    # the integer/LUT codebook-domain path: precomputed routing tables,
+    # gather/scatter-accumulate inner loop.  Exact LUT must match the
+    # decode-every-call reference; lut_quant trades a bounded
+    # activation-snap error for cheaper accumulation.
     for mod in model:
         mod.engine.mode = "lut"
     lut_s = best_of(lambda: model.forward(x), p["repeats"])
-    lut_bit_identical = bool(np.array_equal(model.forward(x), centroid_out))
+    lut_out = model.forward(x)
+    lut_max_err = float(np.max(np.abs(lut_out - reference)))
     lut_table_bytes = int(sum(mod.engine.lut_table_bytes() for mod in model))
     for mod in model:
         mod.engine.mode = "lut_quant"
     lut_quant_s = best_of(lambda: model.forward(x), p["repeats"])
     quant_out = model.forward(x)
-    lut_quant_rel_err = (float(np.linalg.norm(quant_out - centroid_out))
-                         / max(float(np.linalg.norm(centroid_out)), 1e-12))
+    lut_quant_rel_err = (float(np.linalg.norm(quant_out - lut_out))
+                         / max(float(np.linalg.norm(lut_out)), 1e-12))
     for mod in model:
         mod.engine.mode = "auto"
 
     # equivalence guard: the timed path must produce the baseline's numbers
-    max_err = float(np.max(np.abs(model.forward(x) - _reconstruct_forward(states, x))))
+    max_err = float(np.max(np.abs(model.forward(x) - reference)))
 
     # batched serving throughput (persistent im2col buffers across calls)
     stream = rng.normal(size=(p["batch"] * p["serve_calls"], STAGES[0][0],
@@ -132,12 +131,10 @@ def _compressed_workload(p: Dict[str, object]) -> Dict[str, object]:
         "reconstruct_then_conv_s": baseline_s,
         "compressed_auto_s": compressed_s,
         "compressed_dense_cached_s": dense_cached_s,
-        "compressed_centroid_s": centroid_s,
         "compressed_lut_s": lut_s,
         "compressed_lut_quant_s": lut_quant_s,
         "speedup_compressed_vs_reconstruct": baseline_s / compressed_s,
-        "speedup_lut_vs_centroid": centroid_s / lut_s,
-        "lut_bit_identical_to_centroid": lut_bit_identical,
+        "lut_max_abs_error_vs_baseline": lut_max_err,
         "lut_quant_rel_err": lut_quant_rel_err,
         "lut_table_bytes": lut_table_bytes,
         "max_abs_error_vs_baseline": max_err,
@@ -239,9 +236,10 @@ def check_report(report: Dict[str, object]) -> list:
     if speedup < MIN_SPEEDUP:
         errors.append(f"compressed-domain forward is {speedup:.2f}x dense "
                       f"(minimum {MIN_SPEEDUP}x)")
-    if not report["lut_bit_identical_to_centroid"]:
-        errors.append("exact LUT outputs are not bit-identical to the "
-                      "centroid path")
+    lut_error = report["lut_max_abs_error_vs_baseline"]
+    if not lut_error <= MAX_ABS_ERROR:
+        errors.append(f"exact LUT outputs diverge from the baseline "
+                      f"(max abs error {lut_error:.2e} > {MAX_ABS_ERROR})")
     quant_err = report["lut_quant_rel_err"]
     if not quant_err <= QUANT_REL_ERR_BUDGET:
         errors.append(f"lut_quant rel err {quant_err:.4f} exceeds the "
@@ -256,12 +254,11 @@ def main(argv=None) -> int:
     stream = report["systolic_stream"]
     print(f"[perf] compressed-domain forward: {speedup:.2f}x vs "
           f"dense-reconstruct-then-conv "
-          f"(centroid {report['reconstruct_then_conv_s'] / report['compressed_centroid_s']:.2f}x, "
+          f"(lut {report['reconstruct_then_conv_s'] / report['compressed_lut_s']:.2f}x, "
           f"max err {report['max_abs_error_vs_baseline']:.2e})")
-    print(f"[perf] LUT fast path: {report['speedup_lut_vs_centroid']:.2f}x vs "
-          f"centroid (bit-identical: {report['lut_bit_identical_to_centroid']}, "
-          f"lut_quant rel err {report['lut_quant_rel_err']:.4f}, "
-          f"tables {report['lut_table_bytes'] / 1024:.0f} KiB)")
+    print(f"[perf] LUT path: max err {report['lut_max_abs_error_vs_baseline']:.2e} "
+          f"vs baseline, lut_quant rel err {report['lut_quant_rel_err']:.4f}, "
+          f"tables {report['lut_table_bytes'] / 1024:.0f} KiB")
     print(f"[perf] systolic stream: {stream['stream_speedup_vs_scalar']:.1f}x vs "
           f"scalar tile loop, gating counts match: {stream['gating_counts_match']}")
     errors = check_report(report)

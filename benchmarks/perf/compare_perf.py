@@ -41,7 +41,6 @@ if __package__ in (None, ""):  # running as a plain script
 TRACKED: Dict[str, List[str]] = {
     "clustering": ["speedup_fp64_vs_legacy", "speedup_fp32_vs_legacy"],
     "inference": ["speedup_compressed_vs_reconstruct",
-                  "speedup_lut_vs_centroid",
                   "systolic_stream.stream_speedup_vs_scalar"],
     # serving.fault_mode.* is deliberately untracked: under injected faults
     # the wall time is dominated by retry backoffs and re-warm sleeps, so

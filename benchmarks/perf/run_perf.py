@@ -141,9 +141,8 @@ def main(argv=None) -> int:
     stream = inference["systolic_stream"]
     print(f"[perf] compressed-domain forward: "
           f"{inference['speedup_compressed_vs_reconstruct']:.2f}x vs "
-          f"dense-reconstruct-then-conv; LUT fast path "
-          f"{inference['speedup_lut_vs_centroid']:.2f}x vs centroid "
-          f"(bit-identical: {inference['lut_bit_identical_to_centroid']}); "
+          f"dense-reconstruct-then-conv (LUT max err "
+          f"{inference['lut_max_abs_error_vs_baseline']:.2e}); "
           f"systolic stream "
           f"{stream['stream_speedup_vs_scalar']:.1f}x vs scalar tile loop")
     pipeline = report["pipeline"]

@@ -3,33 +3,28 @@
 :class:`CompressedLinear` and :class:`CompressedConv2d` run forward — and
 backward with respect to activations — directly from ``(codebook,
 assignments, mask)`` without materialising the dense weight tensor per
-call.  The centroid-domain path mirrors what the MVQ accelerator does in
-hardware: activations are combined with the small effective-codeword table
-once (``(batch, U)`` products, ``U ≪ N_G``) and partial sums are routed to
-outputs by assignment index, the product-reuse idea of the CRF + assignment
-routing datapath.
+call.  The codebook-domain (LUT) path mirrors what the MVQ accelerator does
+in hardware: activations are combined with the small effective-codeword
+table once (``(batch, U)`` products, ``U ≪ N_G``) and partial sums are
+routed to outputs by assignment index, the product-reuse idea of the CRF +
+assignment routing datapath.
 
-Three execution modes per layer:
+Two execution paths per layer (dense and LUT), an approximate LUT variant,
+a selector and one alias:
 
-* ``"centroid"`` — the decode-free path.  For grouping strategies whose
-  subvectors lie along the *reduction* dimension (``INPUT``, ``KERNEL``)
-  the forward pass is *gather-form*: one skinny GEMM against the table
-  followed by a fused segment-gather of partial sums.  For the paper's
-  ``OUTPUT`` grouping the forward pass is *scatter-form* (activations are
-  segment-summed per codeword first) and the backward pass is gather-form.
 * ``"dense"`` — reconstruct the weight matrix **once**, cache it, and run
   ordinary GEMMs.  Still serves from compressed storage (nothing is decoded
   per call after the first), and on BLAS-backed CPUs it is usually the
   fastest steady state.
-* ``"lut"`` — the integer/LUT fast path.  Same dataflow as the centroid
-  path, but the per-call routing is driven by one precomputed flat
-  lookup table (``row * U + table_entry``, built once per layer like
-  ``_dense_cache``) so the gather direction becomes a single
-  ``np.take`` over the partial-product table and the scatter direction
-  becomes a per-sample ``np.bincount`` accumulate in the wide
-  accumulation dtype.  Bit-identical to ``"centroid"`` (same summation
-  order; at float32 the scatter direction keeps the ``np.add.at``
-  kernel precisely to preserve that contract).
+* ``"lut"`` — the codebook-domain path.  Routing is driven by one
+  precomputed flat lookup table (``row * U + table_entry``, built once per
+  layer like ``_dense_cache``).  For grouping strategies whose subvectors
+  lie along the *reduction* dimension (``INPUT``, ``KERNEL``) the forward
+  pass is *gather-form*: one skinny GEMM against the table, then a single
+  ``np.take`` over the partial-product table.  For the paper's ``OUTPUT``
+  grouping the forward pass is *scatter-form* (activations are
+  segment-summed per codeword first, a per-sample ``np.bincount`` at
+  float64) and the backward pass is gather-form.
 * ``"lut_quant"`` — opt-in quantized-activation LUT mode: activations
   are snapped to a small symmetric alphabet (``act_levels`` per sign,
   int8-like at the default 127) before the LUT path runs with float32
@@ -37,21 +32,22 @@ Three execution modes per layer:
   compute/accumulate split).  Approximate by design — callers gate on a
   max relative-error budget instead of bit-identity.  Never chosen by
   ``auto``.
-* ``"auto"`` — a calibrated :class:`InferenceCostModel` picks between
-  dense, centroid and exact-LUT per (layer, batch, dtype).  On CPU the
-  gather/scatter rates are far below BLAS GEMM rates, so large layers
-  fall back to the cached-dense path exactly as large ``k``/``U`` erodes
-  the centroid path's reuse; on the modelled accelerator the same
-  formulas favour the centroid/LUT paths.
+* ``"auto"`` — a calibrated :class:`InferenceCostModel` picks dense or
+  exact LUT per (layer, batch, dtype).  On CPU the routing rates are far
+  below BLAS GEMM rates, so large layers fall back to the cached-dense path
+  exactly as large ``k``/``U`` erodes the table's product reuse; on the
+  modelled accelerator the same formulas favour the LUT path.
+* ``"centroid"`` — accepted as an alias of ``"lut"`` (older manifests,
+  scenarios and command lines spell the codebook-domain path this way);
+  it runs the LUT code, and ``last_mode`` reports ``"lut"``.
 
-The centroid implementations are exact (not approximations): every mode
-produces bit-comparable results up to float summation order, which the
-equivalence tests pin down across grouping strategies, mask settings and
-compute dtypes.  Every exact forward is also batch-invariant: the dense
-path runs one GEMM per sample, and the centroid/LUT paths chunk on whole
-samples with a summation order fixed per layer, so a sample's output bits
-never depend on what it was batched with (the serving tier's bit-exactness
-rests on this).
+Both exact paths agree with the reconstructed dense weight up to float
+summation order, which the equivalence tests pin down across grouping
+strategies, mask settings and compute dtypes.  Every exact forward is also
+batch-invariant: the dense path runs one GEMM per sample, and the LUT path
+chunks on whole samples with a summation order fixed per layer, so a
+sample's output bits never depend on what it was batched with (the serving
+tier's bit-exactness rests on this).
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ class InferenceCostModel:
     The constants are element/FLOP rates of the numpy primitives each path
     is built from, calibrated on a single AVX core; they only need to be
     directionally right, since the selection compares path estimates
-    against each other.  Lowering ``gather_elems_per_s``/raising
+    against each other.  Lowering ``lut_gather_elems_per_s``/raising
     ``gemm_flops_per_s`` models a CPU (dense GEMM wins); the converse
     models accelerator-style hardware where routing is free and FLOPs are
     the scarce resource.
@@ -94,8 +90,6 @@ class InferenceCostModel:
     gemm_flops_per_s: float = 3.0e10
     #: GEMM against the (U, d) table: K == d is tiny, BLAS runs far below peak
     skinny_gemm_flops_per_s: float = 3.0e9
-    #: fancy-indexed gather + accumulate (elements/s)
-    gather_elems_per_s: float = 3.0e8
     #: ``np.add.at`` scatter-accumulate (elements/s)
     scatter_elems_per_s: float = 5.0e7
     #: layout transposes / copies (elements/s)
@@ -103,7 +97,7 @@ class InferenceCostModel:
     #: LUT-path ``np.take`` gather + accumulate (elements/s)
     lut_gather_elems_per_s: float = 4.5e8
     #: LUT-path ``np.bincount`` scatter-accumulate (elements/s, float64 —
-    #: at float32 the LUT scatter keeps ``np.add.at`` for bit-identity)
+    #: at float32 the LUT scatter runs ``np.add.at``)
     lut_scatter_elems_per_s: float = 2.4e8
     #: float32 speedup over the float64 rates above
     fp32_speedup: float = 2.0
@@ -116,16 +110,16 @@ class InferenceCostModel:
         """Steady-state cost of the cached-dense GEMM path."""
         return 2.0 * batch * n_in * n_out / (self.gemm_flops_per_s * self._scale(dtype))
 
-    def centroid_seconds(self, batch: int, n_in: int, n_out: int, d: int,
-                         table_size: int, gather_form: bool,
-                         dtype=np.float64) -> float:
-        """Cost of the decode-free path.
+    def lut_seconds(self, batch: int, n_in: int, n_out: int, d: int,
+                    table_size: int, gather_form: bool,
+                    dtype=np.float64) -> float:
+        """Cost of the exact codebook-domain (LUT) path.
 
-        ``gather_form`` selects the fused segment-gather variant (reduction
-        -side grouping); the scatter variant pays ``np.add.at`` rates
-        instead.  Both share the skinny table GEMM whose cost scales with
-        ``table_size`` — this is where large ``k`` (relative to ``N_G``)
-        erodes the centroid path's product reuse.
+        ``gather_form`` selects the ``np.take`` routing variant (reduction
+        -side grouping); the scatter variant pays ``np.bincount`` rates, or
+        the plain ``np.add.at`` rate at float32.  Both share the skinny
+        table GEMM whose cost scales with ``table_size`` — this is where
+        large ``k`` (relative to ``N_G``) erodes the table's product reuse.
         """
         scale = self._scale(dtype)
         num_blocks = n_in // d if gather_form else n_in
@@ -133,30 +127,9 @@ class InferenceCostModel:
         if gather_form:
             # transpose of the (batch, NB, U) product tensor + routed gather
             seconds += batch * num_blocks * table_size / (self.copy_elems_per_s * scale)
-            seconds += batch * n_out * num_blocks / (self.gather_elems_per_s * scale)
-        else:
-            # scatter-form: segment-sum activations per output group first
-            seconds += batch * n_in * (n_out // d) / (self.scatter_elems_per_s * scale)
-        return seconds
-
-    def lut_seconds(self, batch: int, n_in: int, n_out: int, d: int,
-                    table_size: int, gather_form: bool,
-                    dtype=np.float64) -> float:
-        """Cost of the exact integer/LUT path.
-
-        Same skinny table GEMM and layout terms as the centroid path; the
-        routing term runs at the faster flat-``np.take`` / ``np.bincount``
-        rates.  The float32 scatter direction pays the plain ``np.add.at``
-        rate — the LUT path keeps that kernel at float32 so it stays
-        bit-identical to the centroid path.
-        """
-        scale = self._scale(dtype)
-        num_blocks = n_in // d if gather_form else n_in
-        seconds = 2.0 * batch * n_in * table_size / (self.skinny_gemm_flops_per_s * scale)
-        if gather_form:
-            seconds += batch * num_blocks * table_size / (self.copy_elems_per_s * scale)
             seconds += batch * n_out * num_blocks / (self.lut_gather_elems_per_s * scale)
         else:
+            # scatter-form: segment-sum activations per output group first
             rate = (self.lut_scatter_elems_per_s
                     if np.dtype(dtype) == np.float64 else self.scatter_elems_per_s)
             seconds += batch * n_in * (n_out // d) / (rate * scale)
@@ -166,19 +139,13 @@ class InferenceCostModel:
                table_size: int, gather_form: bool, dtype=np.float64) -> str:
         """Cheapest exact path for this shape.  ``lut_quant`` is approximate
         and therefore opt-in only — ``auto`` never selects it."""
-        dense = self.dense_seconds(batch, n_in, n_out, dtype)
-        centroid = self.centroid_seconds(batch, n_in, n_out, d, table_size,
-                                         gather_form, dtype)
         lut = self.lut_seconds(batch, n_in, n_out, d, table_size,
                                gather_form, dtype)
-        best = "centroid" if centroid < dense else "dense"
-        if lut < min(centroid, dense):
-            best = "lut"
-        return best
+        return "lut" if lut < self.dense_seconds(batch, n_in, n_out, dtype) else "dense"
 
 
 #: grouping strategies whose subvectors lie along the GEMM reduction axis,
-#: making the centroid *forward* pass gather-form (fast segment-gather)
+#: making the LUT *forward* pass gather-form (one routed ``np.take``)
 _REDUCTION_SIDE = (GroupingStrategy.INPUT, GroupingStrategy.KERNEL)
 
 
@@ -385,7 +352,7 @@ class CentroidEngine:
     # -- mode selection -------------------------------------------------------
     def choose_mode(self, batch: int, dtype: np.dtype) -> str:
         if self.mode != "auto":
-            return self.mode
+            return "lut" if self.mode == "centroid" else self.mode
         return self.cost_model.select(batch, self.n_in, self.c_out, self.d,
                                       self.table_size, self.gather_forward, dtype)
 
@@ -452,54 +419,18 @@ class CentroidEngine:
         rows = self._chunk_rows(itemsize)
         return max(1, distance_block_bytes() // max(1, out_width * rows * itemsize))
 
-    # -- centroid-domain cores -------------------------------------------------
+    # -- codebook-domain (LUT) cores --------------------------------------------
     # Forward and backward are the same two primitives with the roles of
     # the block and output dimensions swapped, so one gather core and one
-    # scatter core serve all four directions:
+    # scatter core serve all four directions, both routed by the
+    # precomputed flat LUT:
     #
     # * gather: subvector-shaped operands meet the table once per
-    #   (row, codeword), then a fused segment-gather routes partial sums —
-    #   ``route`` maps (row, output) to the table entry to pick up.
+    #   (row, codeword), then one np.take per chunk reads the flattened
+    #   (R*U, bc) partial-product tensor at the routed entries.
     # * scatter: flat operands are segment-summed per (row, codeword)
-    #   first (``route`` maps (row, operand) to the segment), then one
-    #   small GEMM against the table expands each segment to d outputs.
-
-    def _gather_core(self, rows3: np.ndarray, route: np.ndarray,
-                     out_width: int, unit: int) -> np.ndarray:
-        """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
-        table = self._table_as(rows3.dtype)
-        bc, r, d = rows3.shape
-        # one table GEMM per `unit` rows; the (R, U, bc) layout makes each
-        # routed read a contiguous bc-vector
-        prod = F.sample_matmul(rows3.reshape(-1, d), table.T, bc // unit)
-        prod = np.ascontiguousarray(prod.reshape(bc, r, -1).transpose(1, 2, 0))
-        acc = np.zeros((out_width, bc), dtype=rows3.dtype)
-        chunk = self._route_chunk(out_width, rows3.itemsize)
-        for lo in range(0, r, chunk):
-            rr = np.arange(lo, min(lo + chunk, r))
-            acc += _sum_in_order(prod[rr[:, None], route[rr]])
-        return acc.T
-
-    def _scatter_core(self, values: np.ndarray, route: np.ndarray,
-                      unit: int) -> np.ndarray:
-        """``(bc, M)`` operands segment-summed by ``route`` (R, M), then
-        expanded through the table -> ``(bc, R, d)``."""
-        table = self._table_as(values.dtype)
-        u, d = table.shape
-        bc, r = values.shape[0], route.shape[0]
-        seg = np.zeros((r, u, bc), dtype=values.dtype)
-        np.add.at(seg, (np.arange(r)[:, None], route), values.T[None, :, :])
-        seg = seg.transpose(2, 0, 1).reshape(-1, u)
-        return F.sample_matmul(seg, table, bc // unit).reshape(bc, r, d)
-
-    # -- integer/LUT cores ------------------------------------------------------
-    # Same dataflow as the centroid cores, but routing runs off the
-    # precomputed flat LUT: the gather direction reads the flattened
-    # (R*U, bc) partial-product tensor with one np.take per chunk, and the
-    # scatter direction turns routed writes into np.bincount over the flat
-    # keys, accumulating in the wide dtype.  Chunking and summation order
-    # match the centroid cores exactly, which is what makes the exact LUT
-    # mode bit-identical.
+    #   first (np.bincount over the flat keys), then one small GEMM
+    #   against the table expands each segment to d outputs.
 
     def _lut_gather_core(self, rows3: np.ndarray, unit: int) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
@@ -534,8 +465,9 @@ class CentroidEngine:
                     minlength=r * u)
             seg = seg.reshape(bc, r, u)
         else:
-            # float32: bincount accumulates internally in float64 and would
-            # break bit-identity with the centroid path — keep np.add.at
+            # float32: bincount accumulates internally in float64, so the
+            # sums would carry float64 rounding; np.add.at accumulates in
+            # the compute dtype like every other float32 core
             seg = np.zeros((r, u, bc), dtype=values.dtype)
             np.add.at(seg, (np.arange(r)[:, None], self._lut["route"]),
                       values.T[None, :, :])
@@ -552,7 +484,7 @@ class CentroidEngine:
         scale = amax / float(self.act_levels)
         return (np.round(x / scale) * scale).astype(x.dtype, copy=False)
 
-    def _centroid_chunks(self, total: int, itemsize: int, samples: int):
+    def _sample_chunks(self, total: int, itemsize: int, samples: int):
         """``(lo, hi, unit)`` row chunks within the block budget; each run
         of ``unit`` rows shares one table GEMM.
 
@@ -575,47 +507,6 @@ class CentroidEngine:
                     hi = min(lo + rows, start + per)
                     yield lo, hi, hi - lo
 
-    # -- centroid-domain forward ----------------------------------------------
-    def _forward_gather(self, cols: np.ndarray, samples: int) -> np.ndarray:
-        """Gather-form: skinny table GEMM, then fused segment-gather."""
-        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi, unit in self._centroid_chunks(cols.shape[0], cols.itemsize,
-                                                  samples):
-            out[lo:hi] = self._gather_core(
-                self._to_blocks(cols[lo:hi]), self._assign2d.T, self.c_out, unit)
-        return out
-
-    def _forward_scatter(self, cols: np.ndarray, samples: int) -> np.ndarray:
-        """Scatter-form (OUTPUT grouping): segment-sum activations per
-        codeword and output group, then one small GEMM against the table."""
-        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi, unit in self._centroid_chunks(cols.shape[0], cols.itemsize,
-                                                  samples):
-            partial = self._scatter_core(cols[lo:hi], self._assign2d, unit)
-            out[lo:hi] = partial.reshape(hi - lo, self.c_out)
-        return out
-
-    # -- centroid-domain backward (w.r.t. activations) ------------------------
-    def _backward_gather(self, grad_out: np.ndarray) -> np.ndarray:
-        """OUTPUT grouping: the transpose product is gather-form."""
-        n_go = self.c_out // self.d
-        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi, unit in self._centroid_chunks(grad_out.shape[0],
-                                                  grad_out.itemsize, 1):
-            rows3 = grad_out[lo:hi].reshape(hi - lo, n_go, self.d)
-            grad_cols[lo:hi] = self._gather_core(rows3, self._assign2d,
-                                                 self.n_in, unit)
-        return grad_cols
-
-    def _backward_scatter(self, grad_out: np.ndarray) -> np.ndarray:
-        """INPUT/KERNEL grouping: scatter grad_out per codeword, then GEMM."""
-        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi, unit in self._centroid_chunks(grad_out.shape[0],
-                                                  grad_out.itemsize, 1):
-            blocks3 = self._scatter_core(grad_out[lo:hi], self._assign2d.T, unit)
-            grad_cols[lo:hi] = self._from_blocks(blocks3)
-        return grad_cols
-
     # -- integer/LUT forward/backward ------------------------------------------
     def _forward_lut(self, cols: np.ndarray, samples: int,
                      quant: bool) -> np.ndarray:
@@ -627,8 +518,8 @@ class CentroidEngine:
         if quant:
             work = self._snap_activations(cols).astype(accum_dtype(), copy=False)
         out = np.empty((work.shape[0], self.c_out), dtype=work.dtype)
-        for lo, hi, unit in self._centroid_chunks(work.shape[0], work.itemsize,
-                                                  samples):
+        for lo, hi, unit in self._sample_chunks(work.shape[0], work.itemsize,
+                                                samples):
             if self.gather_forward:
                 out[lo:hi] = self._lut_gather_core(
                     self._to_blocks(work[lo:hi]), unit)
@@ -647,7 +538,7 @@ class CentroidEngine:
                                                            copy=False)
         grad_cols = np.empty((work.shape[0], self.n_in), dtype=work.dtype)
         n_go = self.c_out // self.d
-        for lo, hi, unit in self._centroid_chunks(work.shape[0], work.itemsize, 1):
+        for lo, hi, unit in self._sample_chunks(work.shape[0], work.itemsize, 1):
             if self.gather_forward:      # forward gathered -> backward scatters
                 blocks3 = self._lut_scatter_core(work[lo:hi], unit)
                 grad_cols[lo:hi] = self._from_blocks(blocks3)
@@ -669,22 +560,14 @@ class CentroidEngine:
         if mode == "dense":
             return F.sample_matmul(cols, self.weight_matrix(cols.dtype).T,
                                    samples)
-        if mode in ("lut", "lut_quant"):
-            return self._forward_lut(cols, samples, quant=(mode == "lut_quant"))
-        if self.gather_forward:
-            return self._forward_gather(cols, samples)
-        return self._forward_scatter(cols, samples)
+        return self._forward_lut(cols, samples, quant=(mode == "lut_quant"))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mode = self.choose_mode(grad_out.shape[0], grad_out.dtype)
         self.last_mode = mode
         if mode == "dense":
             return grad_out @ self.weight_matrix(grad_out.dtype)
-        if mode in ("lut", "lut_quant"):
-            return self._backward_lut(grad_out, quant=(mode == "lut_quant"))
-        if self.gather_forward:          # forward gathered -> backward scatters
-            return self._backward_scatter(grad_out)
-        return self._backward_gather(grad_out)
+        return self._backward_lut(grad_out, quant=(mode == "lut_quant"))
 
 
 class CompressedLinear(Module):

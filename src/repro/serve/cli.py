@@ -35,6 +35,7 @@ from typing import Any, Dict, Optional, TextIO, Tuple
 import numpy as np
 
 from repro.core import telemetry
+from repro.nn.compressed import MODES
 from repro.serve.errors import ManifestError, error_payload
 from repro.serve.loader import load_npz, load_scenario
 from repro.serve.server import FaultPolicy, ModelServer, serving_chaos_plan
@@ -69,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "processes over a zero-copy shared-memory "
                                "arena (see README 'Sharded serving')")
     batching.add_argument("--engine-mode",
-                          choices=("auto", "centroid", "dense", "lut",
-                                   "lut_quant"),
+                          choices=MODES,
                           default=None,
                           help="compressed-engine execution mode (default: "
                                "the scenario serving section's engine_mode, "

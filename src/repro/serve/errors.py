@@ -12,7 +12,7 @@ injected fault surfaced as *some* typed error rather than a hang::
     failed        the request's retry budget ran out; carries the last cause
     unavailable   every replica of the model is quarantined and the fault
                   policy rejects rather than queues
-    engine_fault  the compressed centroid engine faulted (triggers graceful
+    engine_fault  a compressed inference engine faulted (triggers graceful
                   degradation to the dense reconstruct path when enabled)
     bad_manifest  a ``.npz`` model archive is truncated/corrupted; names the
                   file and the first bad array
@@ -76,7 +76,7 @@ class ReplicaUnavailable(ServingError):
 
 
 class EngineFault(ServingError):
-    """The compressed centroid engine failed mid-forward.
+    """A compressed inference engine failed mid-forward.
 
     The server treats this class specially: with
     ``FaultPolicy.degrade_on_engine_fault`` the replica is switched to the

@@ -201,7 +201,7 @@ class StatsRegistry:
         return {
             "models": models,
             # per-model {layer: engine stats} — resolved mode per layer
-            # (dense/centroid/lut/lut_quant), LUT table bytes, widths
+            # (dense/lut/lut_quant), LUT table bytes, widths
             "engines": {name: data.get("engines", {})
                         for name, data in info.items()},
             # the per-model latency/throughput breakdown, keyed for clients

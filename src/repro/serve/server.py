@@ -39,9 +39,10 @@ governed by a per-model :class:`FaultPolicy`:
   re-admits itself (counted as a restart).  While benched it keeps expiring
   deadlined requests so nothing hangs even with *every* replica benched.
 * **graceful degradation** — an :class:`~repro.serve.errors.EngineFault`
-  (the compressed centroid engine failing) flips the replica's engines to
-  the dense reconstruct path — bit-identical outputs, slower — and re-runs
-  the batch instead of failing it.
+  (a compressed engine failing) flips the replica's engines to the dense
+  reconstruct path — the same bits for engines already on dense, within
+  float re-association for ``lut``-pinned ones, slower — and re-runs the
+  batch instead of failing it.
 
 All of it is instrumented with the ``serve.replica.*`` fault points of
 :mod:`repro.core.faults`, so a seeded :class:`FaultPlan` can drive every
@@ -475,10 +476,11 @@ class ModelServer:
 
     def _degrade(self, entry: _ModelEntry, state: _ReplicaState) -> None:
         """Pin every compressed engine of this replica to the dense
-        reconstruct path.  Dense execution is bit-identical to the centroid
-        engine (asserted by the compressed-inference tests), so degraded
-        serves keep the server's bit-stability guarantee — they are just
-        slower."""
+        reconstruct path.  Engines already on dense (every ``auto`` layer
+        on a CPU) keep their exact bits; a ``lut``-pinned replica moves to
+        outputs within float re-association of its LUT outputs (both paths
+        sum the same products, in a different order).  Degraded serves are
+        slower, never failed."""
         if state.degraded:
             return
         state.degraded = True

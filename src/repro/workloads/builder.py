@@ -6,7 +6,7 @@ program (run / save / load / residual) that realises the spec's dataflow
 tags.  The result is an ordinary :class:`~repro.nn.module.Module` — it
 trains with the trainer, compresses with the MVQ compressor
 (``include_linear=True`` reaches the attention projections), and serves
-through the centroid/LUT engines with no model-specific Python anywhere.
+through the dense/LUT engines with no model-specific Python anywhere.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ One spec drives *both* halves of the system:
 
 * :meth:`WorkloadSpec.build_model` — an executable :mod:`repro.nn` module
   (see :mod:`repro.workloads.builder`) that trains, compresses and serves
-  through the centroid/LUT engines like any hand-written zoo model;
+  through the dense/LUT engines like any hand-written zoo model;
 * :meth:`WorkloadSpec.layer_shapes` — the accelerator's
   :class:`~repro.accelerator.workloads.LayerShape` table, with attention
   lowered to its four constituent weight GEMMs (q/k/v/out projections).

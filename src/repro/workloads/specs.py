@@ -6,7 +6,7 @@ pipeline CLI accepts from a file):
 * ``transformer_block`` — a pre-norm transformer encoder block (multi-head
   self-attention + MLP with residuals) over a 64-token / 32-wide sequence.
   Every projection is an ordinary ``linear``/``attention`` node, so MVQ
-  compression (``include_linear``) and the centroid/LUT serving engines
+  compression (``include_linear``) and the dense/LUT serving engines
   apply unchanged, and the accelerator table lowers attention to its four
   weight GEMMs.  The 64-token length is a perfect square by design: the
   accelerator maps sequence GEMMs onto an 8x8 feature grid.

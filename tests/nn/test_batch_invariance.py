@@ -5,8 +5,8 @@ rows bit-equal to forwarding each sample alone: for every exact engine mode
 of the compressed layers, every grouping strategy with and without a mask,
 and the plain ``Conv2d`` and ``Linear`` layers.  This is what lets the
 server run each batch at its real size and stay bit-exact.  Each example
-also runs at the 64 KiB block-budget floor, where the centroid and LUT
-engines cut samples into row pieces.
+also runs at the 64 KiB block-budget floor, where the LUT engine cuts
+samples into row pieces.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.nn import Conv2d, Linear
 from repro.nn.compressed import CompressedConv2d, CompressedLinear
 from repro.nn.models import resnet18_mini
 
-EXACT_MODES = ("dense", "centroid", "lut")
+EXACT_MODES = ("dense", "lut")
 
 
 def _assert_batch_invariant(module, x, order):

@@ -1,16 +1,16 @@
-"""Integer/LUT fast path of the centroid-domain engine.
+"""Integer/LUT path of the codebook-domain engine.
 
-Exact-LUT mode must be *bit-identical* to the centroid path (same table
-GEMM, same accumulation order — only the routing is precomputed), the
-quantized-activation mode must stay inside a bounded relative error, the
-cost model must offer (and price) the new mode, and the narrow-width
-assignment state that feeds the tables must survive sharing/adoption.
+The quantized-activation mode must stay inside a bounded relative error,
+the cost model must price the LUT path against dense, ``"centroid"`` must
+run (and report) the LUT code, and the narrow-width assignment state that
+feeds the tables must survive sharing/adoption.  Exact-LUT equivalence with
+the dense reconstruction lives in ``test_compressed.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import LayerCompressionConfig, MVQCompressor, precision
+from repro.core import LayerCompressionConfig, MVQCompressor
 from repro.core.codebook import assignment_dtype
 from repro.core.grouping import GroupingStrategy
 from repro.nn import Conv2d, Sequential
@@ -29,16 +29,20 @@ STRATEGY_CONFIGS = [
 ]
 
 
-def _compressed_conv(strategy, d, n_keep, m, store_mask, mode="centroid",
-                     k=12):
+def _compressed_state(strategy, d, n_keep, m, store_mask, k=12):
+    """One compressed conv layer and its core ``CompressedLayer`` state."""
     model = Sequential(Conv2d(16, 32, 3, padding=1,
                               rng=np.random.default_rng(1)))
     cfg = LayerCompressionConfig(
         k=k, d=d, n_keep=n_keep, m=m, strategy=strategy,
         max_kmeans_iterations=8, store_mask=store_mask,
         prune=store_mask, use_masked_kmeans=store_mask)
-    state = next(iter(MVQCompressor(cfg).compress(model)))
-    return compress_module(model.layers[0], state, mode=mode)
+    return model.layers[0], next(iter(MVQCompressor(cfg).compress(model)))
+
+
+def _compressed_conv(strategy, d, n_keep, m, store_mask, mode="lut", k=12):
+    return compress_module(*_compressed_state(strategy, d, n_keep, m,
+                                              store_mask, k), mode=mode)
 
 
 def _rel_err(out, ref):
@@ -46,33 +50,30 @@ def _rel_err(out, ref):
             / max(float(np.linalg.norm(ref)), 1e-12))
 
 
-class TestLutBitExactness:
-    """Exact LUT vs centroid: same bits, every strategy, both directions."""
-
+class TestLutRouting:
+    @pytest.mark.parametrize("via", ["constructor", "attribute"])
     @pytest.mark.parametrize("strategy,d,n_keep,m", STRATEGY_CONFIGS,
                              ids=[s.value for s, *_ in STRATEGY_CONFIGS])
-    @pytest.mark.parametrize("store_mask", [True, False],
-                             ids=["masked", "unmasked"])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_forward_backward_bit_identical(self, strategy, d, n_keep, m,
-                                            store_mask, dtype, rng):
-        with precision.precision(dtype):
-            module = _compressed_conv(strategy, d, n_keep, m, store_mask)
-            x = rng.normal(size=(2, 16, 6, 6))
-            module.engine.mode = "centroid"
-            ref_out = module.forward(x)
-            grad = rng.normal(size=ref_out.shape)
-            ref_grad = module.backward(grad)
-
-            module.engine.mode = "lut"
-            out = module.forward(x)
-            np.testing.assert_array_equal(out, ref_out)
-            np.testing.assert_array_equal(module.backward(grad), ref_grad)
-            assert module.engine.last_mode == "lut"
+    def test_centroid_is_an_alias_of_lut(self, via, strategy, d, n_keep, m,
+                                         rng):
+        """Older manifests, scenarios and command lines spell the LUT path
+        ``"centroid"``: it runs the LUT code and reports ``"lut"``."""
+        layer, state = _compressed_state(strategy, d, n_keep, m, True)
+        lut = compress_module(layer, state, mode="lut")
+        alias = compress_module(
+            layer, state, mode="centroid" if via == "constructor" else "dense")
+        if via == "attribute":
+            alias.engine.mode = "centroid"
+        x = rng.normal(size=(2, 16, 6, 6))
+        out = alias.forward(x)
+        np.testing.assert_array_equal(out, lut.forward(x))
+        assert alias.engine.last_mode == "lut"
+        grad = rng.normal(size=out.shape)
+        np.testing.assert_array_equal(alias.backward(grad), lut.backward(grad))
+        assert alias.engine.serving_stats()["last_mode"] == "lut"
 
     def test_lut_builds_routing_tables_once(self, rng):
-        module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True,
-                                  mode="lut")
+        module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
         x = rng.normal(size=(2, 16, 5, 5))
         module.forward(x)
         assert module.engine.lut_table_bytes() > 0
@@ -92,7 +93,7 @@ class TestQuantMode:
         assert engines
         x = rng.normal(size=(4, 3, 16, 16))
         for engine in engines:
-            engine.mode = "centroid"
+            engine.mode = "lut"
         ref = model.forward(x)
         for engine in engines:
             engine.mode = "lut_quant"
@@ -103,7 +104,7 @@ class TestQuantMode:
     def test_finer_alphabet_shrinks_error(self, rng):
         module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
         x = rng.normal(size=(2, 16, 6, 6))
-        module.engine.mode = "centroid"
+        module.engine.mode = "lut"
         ref = module.forward(x)
         module.engine.mode = "lut_quant"
         errors = []
@@ -124,8 +125,7 @@ class TestQuantMode:
 
 class TestCostModelLut:
     def test_fast_lut_rates_select_lut(self):
-        # small table (high reuse) + fast routing: lut beats both the
-        # dense GEMM and the centroid path's fancy-index gather
+        # small table (high reuse) + fast routing: lut beats the dense GEMM
         fast = InferenceCostModel(lut_gather_elems_per_s=1e15,
                                   lut_scatter_elems_per_s=1e15)
         assert fast.select(1, 512, 512, 8, 8, gather_form=True) == "lut"
@@ -135,13 +135,13 @@ class TestCostModelLut:
                                   lut_scatter_elems_per_s=1.0)
         for u in (1, 64, 2048):
             assert slow.select(8, 512, 256, 8, u,
-                               gather_form=True) in ("centroid", "dense")
+                               gather_form=True) == "dense"
 
     def test_auto_resolves_to_concrete_mode(self):
         engine = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True,
                                   mode="auto").engine
-        # free table GEMM + free LUT routing: only the centroid path's
-        # fancy-index gather (default rate) still costs anything
+        # free table GEMM + free LUT routing: the LUT path costs next to
+        # nothing, the dense GEMM keeps its default rate
         engine.cost_model = InferenceCostModel(skinny_gemm_flops_per_s=1e15,
                                                copy_elems_per_s=1e15,
                                                lut_gather_elems_per_s=1e15,

@@ -196,10 +196,13 @@ class TestMultiProcess:
         assert report["quarantined"] == 0
         assert report["ok"] == 4
 
-    def test_killed_writer_never_leaves_an_observable_bad_entry(self, tmp_path):
+    def test_killed_writer_never_leaves_an_observable_bad_entry(
+            self, tmp_path, monkeypatch):
         # kill a writer mid-hammer at an arbitrary instant; whatever state
         # it left behind, every committed entry still verifies and a fresh
-        # run repairs the rest
+        # run repairs the rest.  A lock the victim held goes stale after
+        # 1 s instead of the production 30 s (commits take milliseconds).
+        monkeypatch.setattr(artifacts_mod, "STALE_LOCK_S", 1.0)
         ctx = multiprocessing.get_context("fork")
         victim = ctx.Process(target=_hammer,
                              args=((str(tmp_path), 0, 100_000),))
