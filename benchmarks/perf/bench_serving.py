@@ -98,8 +98,8 @@ def run(smoke: bool = False) -> Dict[str, object]:
     rng = np.random.default_rng(0)
     requests = rng.standard_normal((n, *INPUT_SHAPE))
 
-    # -- sequential single-image serving (each model pinned at its own
-    #    batch size, so neither path pays auto re-selection per call)
+    # -- sequential single-image serving (each model warmed at its own
+    #    batch size, so neither path builds tables or buffers mid-run)
     prepare_for_serving(seq_model, INPUT_SHAPE, batch_size=1)
 
     def sequential_pass():

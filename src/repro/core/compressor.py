@@ -234,7 +234,7 @@ class CompressedModel:
     def sparsity_by_layer(self) -> Dict[str, float]:
         return {name: state.sparsity() for name, state in self.layers.items()}
 
-    def swap_into_model(self, mode: str = "auto", cost_model=None) -> Dict[str, Module]:
+    def swap_into_model(self, mode: str = "auto") -> Dict[str, Module]:
         """Replace the underlying model's compressed layers with decode-free
         compressed-domain modules (:mod:`repro.nn.compressed`) in place.
 
@@ -246,7 +246,7 @@ class CompressedModel:
         # imported lazily: repro.nn.compressed depends on repro.core
         from repro.nn.compressed import swap_to_compressed
 
-        return swap_to_compressed(self.model, self, mode=mode, cost_model=cost_model)
+        return swap_to_compressed(self.model, self, mode=mode)
 
 
 class MVQCompressor:
@@ -360,22 +360,22 @@ class MVQCompressor:
 
         return run_compression_stages(self, model)
 
-    def export_compressed_model(self, model: Module, mode: str = "auto",
-                                cost_model=None) -> CompressedModel:
+    def export_compressed_model(self, model: Module,
+                                mode: str = "auto") -> CompressedModel:
         """Compress ``model`` and convert it in place to compressed modules.
 
         Every compressed Conv2d/Linear is replaced by its decode-free
         counterpart (:mod:`repro.nn.compressed`), so subsequent forwards
         serve directly from ``(codebook, assignments, mask)`` instead of a
-        reconstructed dense weight.  ``mode`` and ``cost_model`` configure
-        the per-layer execution-path selection.  Returns the
+        reconstructed dense weight.  ``mode`` picks the execution path
+        (see :data:`repro.nn.compressed.MODES`).  Returns the
         :class:`CompressedModel` (whose layer states the new modules share).
         """
         # imported lazily: repro.nn.compressed depends on repro.core
         from repro.nn.compressed import swap_to_compressed
 
         compressed = self.compress(model)
-        swap_to_compressed(model, compressed, mode=mode, cost_model=cost_model)
+        swap_to_compressed(model, compressed, mode=mode)
         return compressed
 
     def _effective_workers(self, num_layers: int) -> int:

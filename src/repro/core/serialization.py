@@ -200,10 +200,9 @@ def derived_serving_arrays(model: Module, compressed: CompressedModel):
     serving ``model``; for each layer with a
     :class:`~repro.nn.compressed.CentroidEngine` exports its
     :meth:`derived_arrays` under ``derived::<layer>::<name>`` keys plus a
-    JSON-able per-layer record of the resolved execution mode and the
-    quantized-activation alphabet.  Models without engines (e.g. the
-    original dense model) yield ``({}, {})`` — derived shipping is purely
-    opportunistic.
+    JSON-able per-layer record of the execution mode.  Models without
+    engines (e.g. the original dense model) yield ``({}, {})`` — derived
+    shipping is purely opportunistic.
     """
     modules = dict(model.named_modules())
     derived_meta: Dict[str, Dict] = {}
@@ -216,8 +215,7 @@ def derived_serving_arrays(model: Module, compressed: CompressedModel):
         safe = name.replace(".", "__")
         for arr_name, arr in engine.derived_arrays().items():
             arrays[f"{DERIVED_PREFIX}{safe}::{arr_name}"] = arr
-        derived_meta[name] = {"mode": engine.mode,
-                              "act_levels": int(engine.act_levels)}
+        derived_meta[name] = {"mode": engine.mode}
     return derived_meta, arrays
 
 

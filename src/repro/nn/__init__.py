@@ -35,7 +35,6 @@ from repro.nn.compressed import (
     CentroidEngine,
     CompressedConv2d,
     CompressedLinear,
-    InferenceCostModel,
     compress_module,
     swap_to_compressed,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "CentroidEngine",
     "CompressedConv2d",
     "CompressedLinear",
-    "InferenceCostModel",
     "compress_module",
     "swap_to_compressed",
     "predict_batched",

@@ -9,13 +9,13 @@ table once (``(batch, U)`` products, ``U ≪ N_G``) and partial sums are
 routed to outputs by assignment index, the product-reuse idea of the CRF +
 assignment routing datapath.
 
-Two execution paths per layer (dense and LUT), an approximate LUT variant,
-a selector and one alias:
+Two execution paths per layer, each with one older spelling:
 
 * ``"dense"`` — reconstruct the weight matrix **once**, cache it, and run
   ordinary GEMMs.  Still serves from compressed storage (nothing is decoded
-  per call after the first), and on BLAS-backed CPUs it is usually the
-  fastest steady state.
+  per call after the first), and on BLAS-backed CPUs it is the fastest
+  steady state.  ``"auto"`` (the default) is accepted as a spelling of
+  ``"dense"``.
 * ``"lut"`` — the codebook-domain path.  Routing is driven by one
   precomputed flat lookup table (``row * U + table_entry``, built once per
   layer like ``_dense_cache``).  For grouping strategies whose subvectors
@@ -24,26 +24,16 @@ a selector and one alias:
   ``np.take`` over the partial-product table.  For the paper's ``OUTPUT``
   grouping the forward pass is *scatter-form* (activations are
   segment-summed per codeword first, a per-sample ``np.bincount`` at
-  float64) and the backward pass is gather-form.
-* ``"lut_quant"`` — opt-in quantized-activation LUT mode: activations
-  are snapped to a small symmetric alphabet (``act_levels`` per sign,
-  int8-like at the default 127) before the LUT path runs with float32
-  only at accumulation boundaries (the ``repro.core.precision``
-  compute/accumulate split).  Approximate by design — callers gate on a
-  max relative-error budget instead of bit-identity.  Never chosen by
-  ``auto``.
-* ``"auto"`` — a calibrated :class:`InferenceCostModel` picks dense or
-  exact LUT per (layer, batch, dtype).  On CPU the routing rates are far
-  below BLAS GEMM rates, so large layers fall back to the cached-dense path
-  exactly as large ``k``/``U`` erodes the table's product reuse; on the
-  modelled accelerator the same formulas favour the LUT path.
-* ``"centroid"`` — accepted as an alias of ``"lut"`` (older manifests,
-  scenarios and command lines spell the codebook-domain path this way);
-  it runs the LUT code, and ``last_mode`` reports ``"lut"``.
+  float64) and the backward pass is gather-form.  ``"centroid"`` (older
+  manifests, scenarios and command lines) is accepted as a spelling of
+  ``"lut"``.
 
-Both exact paths agree with the reconstructed dense weight up to float
+An engine stores the canonical path, so ``mode`` and ``last_mode`` only
+ever read ``"dense"`` or ``"lut"``.
+
+Both paths agree with the reconstructed dense weight up to float
 summation order, which the equivalence tests pin down across grouping
-strategies, mask settings and compute dtypes.  Every exact forward is also
+strategies, mask settings and compute dtypes.  Every forward is also
 batch-invariant: the dense path runs one GEMM per sample, and the LUT path
 chunks on whole samples with a summation order fixed per layer, so a
 sample's output bits never depend on what it was batched with (the serving
@@ -53,95 +43,22 @@ tier's bit-exactness rests on this).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.codebook import Codebook, assignment_dtype
 from repro.core.grouping import GroupingStrategy, grouped_shape, ungroup_weight
-from repro.core.precision import accum_dtype, compute_dtype, distance_block_bytes
+from repro.core.precision import compute_dtype, distance_block_bytes
 from repro.core.reconstruct import effective_subvector_table
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter
 
-MODES = ("auto", "centroid", "dense", "lut", "lut_quant")
+MODES = ("auto", "centroid", "dense", "lut")
 
-#: default size of the symmetric quantized-activation alphabet (levels per
-#: sign — 127 mirrors int8 activations on the paper's accelerator)
-DEFAULT_ACT_LEVELS = 127
-
-
-@dataclass
-class InferenceCostModel:
-    """Per-primitive throughput estimates behind ``mode="auto"``.
-
-    The constants are element/FLOP rates of the numpy primitives each path
-    is built from, calibrated on a single AVX core; they only need to be
-    directionally right, since the selection compares path estimates
-    against each other.  Lowering ``lut_gather_elems_per_s``/raising
-    ``gemm_flops_per_s`` models a CPU (dense GEMM wins); the converse
-    models accelerator-style hardware where routing is free and FLOPs are
-    the scarce resource.
-    """
-
-    #: large-K BLAS GEMM throughput (FLOP/s)
-    gemm_flops_per_s: float = 3.0e10
-    #: GEMM against the (U, d) table: K == d is tiny, BLAS runs far below peak
-    skinny_gemm_flops_per_s: float = 3.0e9
-    #: ``np.add.at`` scatter-accumulate (elements/s)
-    scatter_elems_per_s: float = 5.0e7
-    #: layout transposes / copies (elements/s)
-    copy_elems_per_s: float = 2.0e8
-    #: LUT-path ``np.take`` gather + accumulate (elements/s)
-    lut_gather_elems_per_s: float = 4.5e8
-    #: LUT-path ``np.bincount`` scatter-accumulate (elements/s, float64 —
-    #: at float32 the LUT scatter runs ``np.add.at``)
-    lut_scatter_elems_per_s: float = 2.4e8
-    #: float32 speedup over the float64 rates above
-    fp32_speedup: float = 2.0
-
-    def _scale(self, dtype: np.dtype) -> float:
-        return self.fp32_speedup if np.dtype(dtype) == np.float32 else 1.0
-
-    def dense_seconds(self, batch: int, n_in: int, n_out: int,
-                      dtype=np.float64) -> float:
-        """Steady-state cost of the cached-dense GEMM path."""
-        return 2.0 * batch * n_in * n_out / (self.gemm_flops_per_s * self._scale(dtype))
-
-    def lut_seconds(self, batch: int, n_in: int, n_out: int, d: int,
-                    table_size: int, gather_form: bool,
-                    dtype=np.float64) -> float:
-        """Cost of the exact codebook-domain (LUT) path.
-
-        ``gather_form`` selects the ``np.take`` routing variant (reduction
-        -side grouping); the scatter variant pays ``np.bincount`` rates, or
-        the plain ``np.add.at`` rate at float32.  Both share the skinny
-        table GEMM whose cost scales with ``table_size`` — this is where
-        large ``k`` (relative to ``N_G``) erodes the table's product reuse.
-        """
-        scale = self._scale(dtype)
-        num_blocks = n_in // d if gather_form else n_in
-        seconds = 2.0 * batch * n_in * table_size / (self.skinny_gemm_flops_per_s * scale)
-        if gather_form:
-            # transpose of the (batch, NB, U) product tensor + routed gather
-            seconds += batch * num_blocks * table_size / (self.copy_elems_per_s * scale)
-            seconds += batch * n_out * num_blocks / (self.lut_gather_elems_per_s * scale)
-        else:
-            # scatter-form: segment-sum activations per output group first
-            rate = (self.lut_scatter_elems_per_s
-                    if np.dtype(dtype) == np.float64 else self.scatter_elems_per_s)
-            seconds += batch * n_in * (n_out // d) / (rate * scale)
-        return seconds
-
-    def select(self, batch: int, n_in: int, n_out: int, d: int,
-               table_size: int, gather_form: bool, dtype=np.float64) -> str:
-        """Cheapest exact path for this shape.  ``lut_quant`` is approximate
-        and therefore opt-in only — ``auto`` never selects it."""
-        lut = self.lut_seconds(batch, n_in, n_out, d, table_size,
-                               gather_form, dtype)
-        return "lut" if lut < self.dense_seconds(batch, n_in, n_out, dtype) else "dense"
+#: accepted spellings of the two code paths
+_ALIASES = {"auto": "dense", "centroid": "lut"}
 
 
 #: grouping strategies whose subvectors lie along the GEMM reduction axis,
@@ -173,10 +90,8 @@ class CentroidEngine:
     def __init__(self, codebook: Codebook, assignments: np.ndarray,
                  mask: Optional[np.ndarray], weight_shape: Tuple[int, ...],
                  d: int, strategy: GroupingStrategy,
-                 mode: str = "auto",
-                 cost_model: Optional[InferenceCostModel] = None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+                 mode: str = "auto"):
+        self.mode = mode
         shape4 = weight_shape if len(weight_shape) == 4 else (*weight_shape, 1, 1)
         expected = grouped_shape(shape4, d, strategy)
         # hold assignments at the narrowest safe integer width (uint8 for
@@ -197,11 +112,7 @@ class CentroidEngine:
         self.n_in = self.c_in * self.kh * self.kw
         self.d = d
         self.strategy = strategy
-        self.mode = mode
-        self.cost_model = cost_model or InferenceCostModel()
         self.gather_forward = strategy in _REDUCTION_SIDE
-        #: alphabet size (levels per sign) of the ``lut_quant`` snap
-        self.act_levels = DEFAULT_ACT_LEVELS
         #: mode that actually ran on the most recent forward/backward
         self.last_mode: Optional[str] = None
 
@@ -349,23 +260,19 @@ class CentroidEngine:
             self._dense_cache[key] = np.ascontiguousarray(w_mat, dtype=dtype)
         return self._dense_cache[key]
 
-    # -- mode selection -------------------------------------------------------
-    def choose_mode(self, batch: int, dtype: np.dtype) -> str:
-        if self.mode != "auto":
-            return "lut" if self.mode == "centroid" else self.mode
-        return self.cost_model.select(batch, self.n_in, self.c_out, self.d,
-                                      self.table_size, self.gather_forward, dtype)
+    # -- mode -----------------------------------------------------------------
+    @property
+    def mode(self) -> str:
+        """The code path forward and backward run: ``"dense"`` or ``"lut"``."""
+        return self._mode
 
-    def pin_mode(self, batch: int, dtype: np.dtype) -> str:
-        """Resolve ``auto`` at one batch shape and pin the result.
-
-        After pinning, the engine stays on the exact code path the cost
-        model chose for the serving batch size — no per-call re-selection,
-        and no surprise mode flips if a caller later probes with a
-        different batch size.  Returns the pinned mode.
-        """
-        self.mode = self.choose_mode(batch, dtype)
-        return self.mode
+    @mode.setter
+    def mode(self, mode: str) -> None:
+        """Validate against :data:`MODES` and store the canonical path, so
+        an alias or a mistyped mode can never reach the forward."""
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self._mode = _ALIASES.get(mode, mode)
 
     def serving_stats(self) -> Dict[str, object]:
         """Introspection for serving reports: mode, table reuse, shapes."""
@@ -381,7 +288,6 @@ class CentroidEngine:
             "n_out": self.c_out,
             "gather_forward": self.gather_forward,
             "assignments_dtype": self.assignments.dtype.name,
-            "act_levels": int(self.act_levels),
             "lut_table_bytes": self.lut_table_bytes(),
         }
 
@@ -475,15 +381,6 @@ class CentroidEngine:
         return F.sample_matmul(seg.reshape(-1, u), table,
                                bc // unit).reshape(bc, r, table.shape[1])
 
-    def _snap_activations(self, x: np.ndarray) -> np.ndarray:
-        """Snap to the symmetric ``2 * act_levels + 1``-point alphabet
-        (per-call max-abs scale) used by ``lut_quant``."""
-        amax = float(np.max(np.abs(x))) if x.size else 0.0
-        if amax == 0.0:
-            return x
-        scale = amax / float(self.act_levels)
-        return (np.round(x / scale) * scale).astype(x.dtype, copy=False)
-
     def _sample_chunks(self, total: int, itemsize: int, samples: int):
         """``(lo, hi, unit)`` row chunks within the block budget; each run
         of ``unit`` rows shares one table GEMM.
@@ -508,66 +405,53 @@ class CentroidEngine:
                     yield lo, hi, hi - lo
 
     # -- integer/LUT forward/backward ------------------------------------------
-    def _forward_lut(self, cols: np.ndarray, samples: int,
-                     quant: bool) -> np.ndarray:
-        """Exact LUT forward, or (``quant``) the quantized-activation variant
-        accumulating in the wide dtype with the narrow compute dtype only at
-        the boundary."""
+    def _forward_lut(self, cols: np.ndarray, samples: int) -> np.ndarray:
+        """LUT forward, chunked on whole samples."""
         self._build_lut()
-        work = cols
-        if quant:
-            work = self._snap_activations(cols).astype(accum_dtype(), copy=False)
-        out = np.empty((work.shape[0], self.c_out), dtype=work.dtype)
-        for lo, hi, unit in self._sample_chunks(work.shape[0], work.itemsize,
+        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
+        for lo, hi, unit in self._sample_chunks(cols.shape[0], cols.itemsize,
                                                 samples):
             if self.gather_forward:
                 out[lo:hi] = self._lut_gather_core(
-                    self._to_blocks(work[lo:hi]), unit)
+                    self._to_blocks(cols[lo:hi]), unit)
             else:
-                partial = self._lut_scatter_core(work[lo:hi], unit)
+                partial = self._lut_scatter_core(cols[lo:hi], unit)
                 out[lo:hi] = partial.reshape(hi - lo, self.c_out)
-        return out.astype(cols.dtype, copy=False)
+        return out
 
-    def _backward_lut(self, grad_out: np.ndarray, quant: bool) -> np.ndarray:
-        """LUT backward w.r.t. activations (straight-through in quant mode:
-        the upstream gradient is snapped to the same alphabet)."""
+    def _backward_lut(self, grad_out: np.ndarray) -> np.ndarray:
+        """LUT backward w.r.t. activations."""
         self._build_lut()
-        work = grad_out
-        if quant:
-            work = self._snap_activations(grad_out).astype(accum_dtype(),
-                                                           copy=False)
-        grad_cols = np.empty((work.shape[0], self.n_in), dtype=work.dtype)
+        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
         n_go = self.c_out // self.d
-        for lo, hi, unit in self._sample_chunks(work.shape[0], work.itemsize, 1):
+        for lo, hi, unit in self._sample_chunks(grad_out.shape[0],
+                                                grad_out.itemsize, 1):
             if self.gather_forward:      # forward gathered -> backward scatters
-                blocks3 = self._lut_scatter_core(work[lo:hi], unit)
+                blocks3 = self._lut_scatter_core(grad_out[lo:hi], unit)
                 grad_cols[lo:hi] = self._from_blocks(blocks3)
             else:                        # OUTPUT: the transpose product gathers
-                rows3 = work[lo:hi].reshape(hi - lo, n_go, self.d)
+                rows3 = grad_out[lo:hi].reshape(hi - lo, n_go, self.d)
                 grad_cols[lo:hi] = self._lut_gather_core(rows3, unit)
-        return grad_cols.astype(grad_out.dtype, copy=False)
+        return grad_cols
 
     # -- public entry points --------------------------------------------------
     def forward(self, cols: np.ndarray, samples: int) -> np.ndarray:
         """``cols`` stacks ``samples`` equal blocks of rows, one per sample.
 
-        Every exact mode runs fixed-shape kernels per sample, so a sample's
-        output bits do not depend on the batch it came in.  ``lut_quant``
-        does: its activation scale spans the whole call.
+        Both paths run fixed-shape kernels per sample, so a sample's output
+        bits do not depend on the batch it came in.
         """
-        mode = self.choose_mode(cols.shape[0], cols.dtype)
-        self.last_mode = mode
-        if mode == "dense":
+        self.last_mode = self.mode
+        if self.mode == "dense":
             return F.sample_matmul(cols, self.weight_matrix(cols.dtype).T,
                                    samples)
-        return self._forward_lut(cols, samples, quant=(mode == "lut_quant"))
+        return self._forward_lut(cols, samples)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        mode = self.choose_mode(grad_out.shape[0], grad_out.dtype)
-        self.last_mode = mode
-        if mode == "dense":
+        self.last_mode = self.mode
+        if self.mode == "dense":
             return grad_out @ self.weight_matrix(grad_out.dtype)
-        return self._backward_lut(grad_out, quant=(mode == "lut_quant"))
+        return self._backward_lut(grad_out)
 
 
 class CompressedLinear(Module):
@@ -579,7 +463,6 @@ class CompressedLinear(Module):
                  strategy: GroupingStrategy = GroupingStrategy.OUTPUT,
                  bias: Optional[np.ndarray] = None,
                  mode: str = "auto",
-                 cost_model: Optional[InferenceCostModel] = None,
                  dtype=None):
         super().__init__()
         self.in_features = in_features
@@ -587,23 +470,20 @@ class CompressedLinear(Module):
         self.dtype = np.dtype(dtype) if dtype is not None else compute_dtype()
         self.engine = CentroidEngine(codebook, assignments, mask,
                                      (out_features, in_features), d, strategy,
-                                     mode=mode, cost_model=cost_model)
+                                     mode=mode)
         self.bias = (Parameter(np.asarray(bias, dtype=np.float64), name="bias")
                      if bias is not None else None)
         self._cache: Optional[Tuple[int, ...]] = None
 
     @classmethod
-    def from_layer(cls, layer, state, mode: str = "auto",
-                   cost_model: Optional[InferenceCostModel] = None
-                   ) -> "CompressedLinear":
+    def from_layer(cls, layer, state, mode: str = "auto") -> "CompressedLinear":
         """Build from an ``nn.Linear`` and its core ``CompressedLayer``."""
         mask = state.mask if state.config.store_mask else None
         return cls(layer.in_features, layer.out_features,
                    state.codebook, state.assignments, mask,
                    state.config.d, state.config.strategy,
                    bias=None if layer.bias is None else layer.bias.value.copy(),
-                   mode=mode, cost_model=cost_model,
-                   dtype=layer.weight.value.dtype)
+                   mode=mode, dtype=layer.weight.value.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x).astype(self.dtype, copy=False)
@@ -641,7 +521,6 @@ class CompressedConv2d(Module):
                  stride: int = 1, padding: int = 0,
                  bias: Optional[np.ndarray] = None,
                  mode: str = "auto",
-                 cost_model: Optional[InferenceCostModel] = None,
                  dtype=None):
         super().__init__()
         self.in_channels = in_channels
@@ -654,16 +533,14 @@ class CompressedConv2d(Module):
         self.dtype = np.dtype(dtype) if dtype is not None else compute_dtype()
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.engine = CentroidEngine(codebook, assignments, mask, shape, d,
-                                     strategy, mode=mode, cost_model=cost_model)
+                                     strategy, mode=mode)
         self.bias = (Parameter(np.asarray(bias, dtype=np.float64), name="bias")
                      if bias is not None else None)
         self._cache = None
         self._col_buffer: Optional[np.ndarray] = None
 
     @classmethod
-    def from_layer(cls, layer, state, mode: str = "auto",
-                   cost_model: Optional[InferenceCostModel] = None
-                   ) -> "CompressedConv2d":
+    def from_layer(cls, layer, state, mode: str = "auto") -> "CompressedConv2d":
         """Build from an ``nn.Conv2d`` and its core ``CompressedLayer``."""
         if layer.depthwise:
             raise ValueError("depthwise convolutions are not compressed")
@@ -673,8 +550,7 @@ class CompressedConv2d(Module):
                    state.config.d, state.config.strategy,
                    stride=layer.stride, padding=layer.padding,
                    bias=None if layer.bias is None else layer.bias.value.copy(),
-                   mode=mode, cost_model=cost_model,
-                   dtype=layer.weight.value.dtype)
+                   mode=mode, dtype=layer.weight.value.dtype)
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
         """im2col into a prefix of one persistent buffer, kept at the most
@@ -718,14 +594,13 @@ class CompressedConv2d(Module):
         return F.col2im(grad_cols, x_shape, (k, k), self.stride, self.padding)
 
 
-def compress_module(module: Module, state, mode: str = "auto",
-                    cost_model: Optional[InferenceCostModel] = None) -> Module:
+def compress_module(module: Module, state, mode: str = "auto") -> Module:
     """The compressed counterpart of one Linear/Conv2d module."""
     from repro.nn.layers import Conv2d, Linear
     if isinstance(module, Conv2d):
-        return CompressedConv2d.from_layer(module, state, mode, cost_model)
+        return CompressedConv2d.from_layer(module, state, mode)
     if isinstance(module, Linear):
-        return CompressedLinear.from_layer(module, state, mode, cost_model)
+        return CompressedLinear.from_layer(module, state, mode)
     raise TypeError(f"cannot compress module of type {type(module).__name__}")
 
 
@@ -746,8 +621,7 @@ def _replace_module(root: Module, dotted: str, replacement: Module) -> None:
         setattr(parent, leaf, replacement)
 
 
-def swap_to_compressed(model: Module, compressed_model, mode: str = "auto",
-                       cost_model: Optional[InferenceCostModel] = None
+def swap_to_compressed(model: Module, compressed_model, mode: str = "auto"
                        ) -> Dict[str, Module]:
     """Replace every compressed layer of ``model`` with a compressed module.
 
@@ -757,7 +631,7 @@ def swap_to_compressed(model: Module, compressed_model, mode: str = "auto",
     modules = dict(model.named_modules())
     swapped: Dict[str, Module] = {}
     for name, state in compressed_model.layers.items():
-        replacement = compress_module(modules[name], state, mode, cost_model)
+        replacement = compress_module(modules[name], state, mode)
         _replace_module(model, name, replacement)
         swapped[name] = replacement
     return swapped
@@ -771,8 +645,7 @@ def restore_modules(model: Module, originals: Dict[str, Module]) -> None:
 
 
 @contextmanager
-def compressed_serving(model: Module, compressed_model, mode: str = "auto",
-                       cost_model: Optional[InferenceCostModel] = None):
+def compressed_serving(model: Module, compressed_model, mode: str = "auto"):
     """Serve from compressed storage within a scope, then restore the model.
 
     Swaps every compressed layer to its decode-free module on entry and
@@ -786,8 +659,7 @@ def compressed_serving(model: Module, compressed_model, mode: str = "auto",
     try:
         # the swap runs inside the try so a failure partway through the
         # per-layer loop still restores the modules already replaced
-        swapped = swap_to_compressed(model, compressed_model, mode=mode,
-                                     cost_model=cost_model)
+        swapped = swap_to_compressed(model, compressed_model, mode=mode)
         yield swapped
     finally:
         restore_modules(model, originals)

@@ -8,15 +8,13 @@ buffer, kept at the largest batch seen, so varying batch sizes do not
 reallocate.
 
 Batch-invariant kernels are what make dynamic batching (the
-``repro.serve`` model server) *bit-exact*: every exact forward runs a
+``repro.serve`` model server) *bit-exact*: every forward runs a
 fixed-shape GEMM per sample (:func:`repro.nn.functional.sample_matmul`)
 and the compressed engines chunk on whole samples, so a request served
 alone produces the same bits as the same request coalesced with seven
-strangers, at any batch size and in any position.  The one exception is
-the approximate ``lut_quant`` mode, whose activation scale spans the whole
-batch.  :func:`prepare_for_serving` warms a model's caches and pins
-``auto`` engine modes so steady-state serving never re-runs the cost model
-(or changes its mind) mid-traffic.
+strangers, at any batch size and in any position.
+:func:`prepare_for_serving` warms a model's caches before the first
+request.
 """
 
 from __future__ import annotations
@@ -36,28 +34,11 @@ def prepare_for_serving(model: Module, input_shape: Tuple[int, ...],
     ``(batch_size, *input_shape)`` so every compressed module builds its
     effective-codeword table / cached dense weight / im2col buffer (at the
     largest batch, so smaller ones reuse a prefix) *before* the first real
-    request.  Compressed engines left in ``"auto"`` mode are then pinned to
-    whatever the cost model chose at this shape, which keeps every
-    subsequent forward on the identical code path with no per-call
-    re-selection (a prerequisite for bit-stable serving).  Returns the
-    model for chaining.
+    request.  Returns the model for chaining.
     """
     model.eval()
     warm = np.zeros((batch_size, *input_shape), dtype=dtype)
     model.forward(warm)
-    for _, module in model.named_modules():
-        engine = getattr(module, "engine", None)
-        if engine is None or engine.mode != "auto":
-            continue
-        cache = getattr(module, "_cache", None)
-        if (isinstance(cache, tuple) and len(cache) == 2
-                and isinstance(cache[0], np.ndarray)):        # Conv2d: (cols, x.shape)
-            rows = cache[0].shape[0]
-        elif isinstance(cache, tuple):                        # Linear: x.shape
-            rows = int(np.prod(cache[:-1])) if len(cache) > 1 else 1
-        else:
-            rows = batch_size
-        engine.pin_mode(rows, np.dtype(dtype))
     return model
 
 

@@ -48,7 +48,7 @@ from repro.serve.loader import (
     replica_state_report,
     verify_npz,
 )
-from repro.serve.metrics import ServingMetrics, StatsRegistry, percentile
+from repro.serve.metrics import ServingMetrics, StatsRegistry
 from repro.serve.server import FaultPolicy, ModelServer, serving_chaos_plan
 from repro.serve.sharded import (
     ProcessReplica,
@@ -84,7 +84,6 @@ __all__ = [
     "error_payload",
     "load_npz",
     "load_scenario",
-    "percentile",
     "policy_from_spec",
     "replica_state_report",
     "serving_chaos_plan",

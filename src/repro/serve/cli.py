@@ -74,12 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None,
                           help="compressed-engine execution mode (default: "
                                "the scenario serving section's engine_mode, "
-                               "else auto; lut_quant is the approximate "
-                               "quantized-activation mode)")
-    batching.add_argument("--act-levels", type=int, default=None,
-                          metavar="N",
-                          help="quantized-activation alphabet size per sign "
-                               "for lut_quant engines (default 127)")
+                               "else auto; auto spells dense and centroid "
+                               "spells lut)")
     robustness = parser.add_argument_group("robustness")
     robustness.add_argument("--max-retries", type=int, default=None,
                             help="retry budget per request after replica "
@@ -240,14 +236,12 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
             loaded.append(load_scenario(scenario_name, mode=args.engine_mode,
                                         replicas=replicas_in_process,
-                                        cache_dir=args.cache_dir,
-                                        act_levels=args.act_levels))
+                                        cache_dir=args.cache_dir))
         if args.npz:
             print(f"[serve] loading archive {args.npz!r} ({args.model}) ...",
                   file=sys.stderr, flush=True)
             loaded.append(load_npz(args.npz, args.model, mode=args.engine_mode,
-                                   replicas=replicas_in_process,
-                                   act_levels=args.act_levels))
+                                   replicas=replicas_in_process))
     except ManifestError as error:
         # a broken deploy artifact is an operator problem, not a traceback:
         # say which file (and array) and exit non-zero

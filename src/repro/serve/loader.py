@@ -193,7 +193,7 @@ def replica_state_report(replicas: List[Module]) -> Dict[str, Any]:
 
 
 def _replicate(model: Module, build_fresh, count: int, compressed,
-               mode: str, act_levels: Optional[int] = None) -> List[Module]:
+               mode: str) -> List[Module]:
     """``count`` independent serving replicas of one compressed model.
 
     The first replica is the live model itself; extra replicas are fresh
@@ -220,9 +220,6 @@ def _replicate(model: Module, build_fresh, count: int, compressed,
     primary_swapped = None
     for replica in replicas:
         swapped = swap_to_compressed(replica, compressed, mode=mode)
-        if act_levels is not None:
-            for module in swapped.values():
-                module.engine.act_levels = int(act_levels)
         if primary_swapped is None:
             primary_swapped = swapped
         else:
@@ -238,16 +235,14 @@ def _replicate(model: Module, build_fresh, count: int, compressed,
 
 
 def load_scenario(name: str, mode: Optional[str] = None, replicas: int = 1,
-                  cache_dir: Optional[str] = None,
-                  act_levels: Optional[int] = None) -> LoadedModel:
+                  cache_dir: Optional[str] = None) -> LoadedModel:
     """Compress a registered scenario's model and prepare it for serving.
 
     Runs the four core compression stages (cluster results come from the
     artifact cache when ``cache_dir`` is warm), then swaps the decode-free
-    modules into ``replicas`` independent copies.  ``mode`` and
-    ``act_levels`` default to the scenario serving section's ``engine_mode``
-    / ``act_levels`` keys, so a scenario can pin the LUT fast path (or the
-    quantized-activation variant) declaratively; explicit arguments win.
+    modules into ``replicas`` independent copies.  ``mode`` defaults to
+    the scenario serving section's ``engine_mode`` key, so a scenario can
+    pin the LUT path declaratively; an explicit argument wins.
     """
     from repro.pipeline.config import CORE_STAGES
     from repro.pipeline.scenarios import get_scenario, run_scenario
@@ -258,10 +253,8 @@ def load_scenario(name: str, mode: Optional[str] = None, replicas: int = 1,
     serving_spec = dict(scenario.pipeline.get("serving", {}) or {})
     if mode is None:
         mode = str(serving_spec.get("engine_mode", "auto"))
-    if act_levels is None and serving_spec.get("act_levels") is not None:
-        act_levels = int(serving_spec["act_levels"])
     models = _replicate(compressed.model, scenario.build_model, replicas,
-                        compressed, mode, act_levels=act_levels)
+                        compressed, mode)
     return LoadedModel(
         name=scenario.name,
         replicas=models,
@@ -340,8 +333,7 @@ def load_npz(path: str, model: str, mode: Optional[str] = None,
              replicas: int = 1,
              model_kwargs: Optional[Dict[str, Any]] = None,
              input_shape: Tuple[int, ...] = (3, 16, 16),
-             name: Optional[str] = None,
-             act_levels: Optional[int] = None) -> LoadedModel:
+             name: Optional[str] = None) -> LoadedModel:
     """Serve a serialized ``.npz`` compressed-model manifest.
 
     ``model`` names a :data:`repro.nn.models.MODEL_ZOO` architecture the
@@ -371,8 +363,7 @@ def load_npz(path: str, model: str, mode: Optional[str] = None,
         raise ManifestError(
             path, f"archive does not match the {model!r} architecture: "
                   f"{error}") from error
-    models = _replicate(live, build_fresh, replicas, compressed, mode,
-                        act_levels=act_levels)
+    models = _replicate(live, build_fresh, replicas, compressed, mode)
     return LoadedModel(
         name=name or f"{model}@{path}",
         replicas=models,

@@ -17,16 +17,6 @@ from typing import Any, Dict, List, Optional
 from repro.core.telemetry import quantile
 
 
-def percentile(values: List[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) by linear interpolation.
-
-    A thin wrapper over :func:`repro.core.telemetry.quantile` (stdlib-only,
-    so the serve package keeps no hard numpy dependency on the metrics
-    path) — the one shared quantile implementation of the codebase.
-    """
-    return quantile(values, q / 100.0)
-
-
 class ServingMetrics:
     """Thread-safe accumulator for one served model.
 
@@ -137,17 +127,17 @@ class ServingMetrics:
             "batches_executed": batches,
             "throughput_rps": completed / elapsed,
             "latency_ms": {
-                "p50": percentile(latencies, 50) * 1e3,
-                "p95": percentile(latencies, 95) * 1e3,
-                "p99": percentile(latencies, 99) * 1e3,
+                "p50": quantile(latencies, 0.5) * 1e3,
+                "p95": quantile(latencies, 0.95) * 1e3,
+                "p99": quantile(latencies, 0.99) * 1e3,
                 "max": max(latencies) * 1e3 if latencies else 0.0,
                 "mean": (sum(latencies) / len(latencies) * 1e3
                          if latencies else 0.0),
             },
             "queue_wait_ms": {
-                "p50": percentile(waits, 50) * 1e3,
-                "p95": percentile(waits, 95) * 1e3,
-                "p99": percentile(waits, 99) * 1e3,
+                "p50": quantile(waits, 0.5) * 1e3,
+                "p95": quantile(waits, 0.95) * 1e3,
+                "p99": quantile(waits, 0.99) * 1e3,
             },
             "batch_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
             "mean_batch_size": mean_batch,
@@ -201,7 +191,7 @@ class StatsRegistry:
         return {
             "models": models,
             # per-model {layer: engine stats} — resolved mode per layer
-            # (dense/lut/lut_quant), LUT table bytes, widths
+            # (dense/lut), LUT table bytes, widths
             "engines": {name: data.get("engines", {})
                         for name, data in info.items()},
             # the per-model latency/throughput breakdown, keyed for clients

@@ -6,9 +6,7 @@ and :class:`~repro.serve.metrics.ServingMetrics`.  Workers pull coalesced
 batches off the queue, stack the request payloads, forward only the live
 rows and scatter the output rows back to the per-request futures.  The
 forward kernels are batch-invariant (see :mod:`repro.nn.serve`), so a
-request's bits do not depend on how it was coalesced; the approximate
-``lut_quant`` engine mode is the exception, its activation scale spans the
-whole batch.
+request's bits do not depend on how it was coalesced.
 
 Models are served from the compressed-domain modules of
 :mod:`repro.nn.compressed` (the loader swaps them in), so a running server
@@ -476,8 +474,8 @@ class ModelServer:
 
     def _degrade(self, entry: _ModelEntry, state: _ReplicaState) -> None:
         """Pin every compressed engine of this replica to the dense
-        reconstruct path.  Engines already on dense (every ``auto`` layer
-        on a CPU) keep their exact bits; a ``lut``-pinned replica moves to
+        reconstruct path.  Engines already on dense (every ``auto`` layer)
+        keep their exact bits; a ``lut``-pinned replica moves to
         outputs within float re-association of its LUT outputs (both paths
         sum the same products, in a different order).  Degraded serves are
         slower, never failed."""

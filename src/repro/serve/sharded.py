@@ -110,9 +110,9 @@ def _build_worker_model(spec: Dict[str, Any], arena: ShmArena) -> Module:
     swapped = swap_to_compressed(model, SimpleNamespace(layers=layers),
                                  mode=spec["mode"])
     # adopt the warmed source engines' derived tables (effective-codeword
-    # table, LUT routing tables, dtype caches) from the arena and pin each
-    # engine to the mode the source resolved — a pinned "lut"/"lut_quant"
-    # engine survives the spawn with zero table rebuilds
+    # table, LUT routing tables, dtype caches) from the arena and set each
+    # engine to the source's mode — a "lut" engine survives the spawn with
+    # zero table rebuilds
     for name, info in (arena.meta.get("derived") or {}).items():
         module = swapped.get(name)
         if module is None:
@@ -123,8 +123,6 @@ def _build_worker_model(spec: Dict[str, Any], arena: ShmArena) -> Module:
         if derived:
             module.engine.adopt_derived(derived)
         module.engine.mode = info["mode"]
-        module.engine.act_levels = int(info.get("act_levels",
-                                                module.engine.act_levels))
     state = {name[len(STATE_PREFIX):]: view for name, view in views.items()
              if name.startswith(STATE_PREFIX)}
     adopt_state_views(model, state)
@@ -629,10 +627,10 @@ class ProcessReplicaPool:
         manifest, arrays = serving_arrays(compressed)
         state_source = model if model is not None else compressed.model
         # when the source is a live serving model (engines swapped in), warm
-        # it at the serving shape so its engines resolve their modes and
-        # build their tables, then ship that derived state in the arena —
-        # workers adopt it zero-copy and inherit the pinned modes (including
-        # "lut"/"lut_quant") instead of re-deriving anything
+        # it at the serving shape so its engines build their tables, then
+        # ship that derived state in the arena — workers adopt it zero-copy
+        # and inherit each engine's mode (including "lut") instead of
+        # re-deriving anything
         derived_meta, derived = derived_serving_arrays(state_source,
                                                        compressed)
         if derived:

@@ -1,10 +1,9 @@
 """Integer/LUT path of the codebook-domain engine.
 
-The quantized-activation mode must stay inside a bounded relative error,
-the cost model must price the LUT path against dense, ``"centroid"`` must
-run (and report) the LUT code, and the narrow-width assignment state that
-feeds the tables must survive sharing/adoption.  Exact-LUT equivalence with
-the dense reconstruction lives in ``test_compressed.py``.
+The two mode aliases must run (and report) their target code, any other
+mode must be rejected wherever it enters, and the narrow-width assignment
+state that feeds the tables must survive sharing/adoption.  LUT
+equivalence with the dense reconstruction lives in ``test_compressed.py``.
 """
 
 import numpy as np
@@ -14,12 +13,10 @@ from repro.core import LayerCompressionConfig, MVQCompressor
 from repro.core.codebook import assignment_dtype
 from repro.core.grouping import GroupingStrategy
 from repro.nn import Conv2d, Sequential
-from repro.nn.compressed import (
-    DEFAULT_ACT_LEVELS,
-    InferenceCostModel,
-    compress_module,
-)
-from repro.nn.models import resnet18_mini
+from repro.nn.compressed import MODES, compress_module
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.runner import Pipeline
+from repro.serve.cli import build_parser
 
 #: (strategy, d, n_keep, m) combinations valid for a 16x32x3x3 convolution
 STRATEGY_CONFIGS = [
@@ -45,32 +42,81 @@ def _compressed_conv(strategy, d, n_keep, m, store_mask, mode="lut", k=12):
                                               store_mask, k), mode=mode)
 
 
-def _rel_err(out, ref):
-    return (float(np.linalg.norm(out - ref))
-            / max(float(np.linalg.norm(ref)), 1e-12))
-
-
 class TestLutRouting:
+    @pytest.mark.parametrize("alias,target", [("centroid", "lut"),
+                                              ("auto", "dense")])
     @pytest.mark.parametrize("via", ["constructor", "attribute"])
     @pytest.mark.parametrize("strategy,d,n_keep,m", STRATEGY_CONFIGS,
                              ids=[s.value for s, *_ in STRATEGY_CONFIGS])
-    def test_centroid_is_an_alias_of_lut(self, via, strategy, d, n_keep, m,
-                                         rng):
-        """Older manifests, scenarios and command lines spell the LUT path
-        ``"centroid"``: it runs the LUT code and reports ``"lut"``."""
+    def test_mode_alias_runs_its_target(self, alias, target, via, strategy,
+                                        d, n_keep, m, rng):
+        """``"auto"`` spells ``"dense"``; older manifests, scenarios and
+        command lines spell the LUT path ``"centroid"``.  Either runs its
+        target's code and reports the target."""
         layer, state = _compressed_state(strategy, d, n_keep, m, True)
-        lut = compress_module(layer, state, mode="lut")
-        alias = compress_module(
-            layer, state, mode="centroid" if via == "constructor" else "dense")
+        reference = compress_module(layer, state, mode=target)
+        other = "lut" if target == "dense" else "dense"
+        module = compress_module(
+            layer, state, mode=alias if via == "constructor" else other)
         if via == "attribute":
-            alias.engine.mode = "centroid"
+            module.engine.mode = alias
+        assert module.engine.mode == target
         x = rng.normal(size=(2, 16, 6, 6))
-        out = alias.forward(x)
-        np.testing.assert_array_equal(out, lut.forward(x))
-        assert alias.engine.last_mode == "lut"
+        out = module.forward(x)
+        np.testing.assert_array_equal(out, reference.forward(x))
+        assert module.engine.last_mode == target
         grad = rng.normal(size=out.shape)
-        np.testing.assert_array_equal(alias.backward(grad), lut.backward(grad))
-        assert alias.engine.serving_stats()["last_mode"] == "lut"
+        np.testing.assert_array_equal(module.backward(grad),
+                                      reference.backward(grad))
+        assert module.engine.serving_stats()["last_mode"] == target
+
+    @pytest.mark.parametrize("via", ["constructor", "attribute"])
+    def test_invalid_mode_rejected(self, via):
+        layer, state = _compressed_state(GroupingStrategy.INPUT, 8, 2, 8, True)
+        if via == "constructor":
+            with pytest.raises(ValueError):
+                compress_module(layer, state, mode="fastest")
+            return
+        engine = compress_module(layer, state, mode="lut").engine
+        with pytest.raises(ValueError):
+            engine.mode = "fastest"
+        assert engine.mode == "lut"
+
+    @pytest.mark.parametrize("entry", ["constructor", "attribute", "scenario",
+                                       "cli"])
+    def test_lut_quant_is_rejected(self, entry, capsys):
+        """The removed approximate mode fails loudly wherever a mode enters
+        instead of silently running another path."""
+        assert "lut_quant" not in MODES
+        if entry == "cli":
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["--scenario", "serving-resnet18",
+                                           "--engine-mode", "lut_quant"])
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'lut_quant'" in capsys.readouterr().err
+            return
+        if entry == "scenario":
+            config = PipelineConfig.from_dict({
+                "base": {"k": 6, "max_kmeans_iterations": 2},
+                "stages": ["group", "prune", "cluster", "quantize",
+                           "serve_eval"],
+                "serve": {"mode": "lut_quant", "batch_size": 2,
+                          "num_samples": 2, "input_shape": [16, 5, 5]}})
+            model = Sequential(Conv2d(16, 32, 3, padding=1,
+                                      rng=np.random.default_rng(1)))
+            with pytest.raises(ValueError, match="lut_quant"):
+                Pipeline(config).run(model)
+            return
+        layer, state = _compressed_state(GroupingStrategy.OUTPUT, 8, 2, 8,
+                                         True)
+        if entry == "constructor":
+            with pytest.raises(ValueError, match="lut_quant"):
+                compress_module(layer, state, mode="lut_quant")
+            return
+        engine = compress_module(layer, state, mode="lut").engine
+        with pytest.raises(ValueError, match="lut_quant"):
+            engine.mode = "lut_quant"
+        assert engine.mode == "lut"
 
     def test_lut_builds_routing_tables_once(self, rng):
         module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
@@ -80,81 +126,6 @@ class TestLutRouting:
         flat = module.engine._lut["flat"]
         module.forward(x)
         assert module.engine._lut["flat"] is flat  # cached, not rebuilt
-
-
-class TestQuantMode:
-    def test_rel_err_bounded_on_model_zoo(self, rng):
-        model = resnet18_mini(num_classes=5, seed=3)
-        cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=6)
-        MVQCompressor(cfg).export_compressed_model(model)
-        model.eval()
-        engines = [m.engine for _, m in model.named_modules()
-                   if getattr(m, "engine", None) is not None]
-        assert engines
-        x = rng.normal(size=(4, 3, 16, 16))
-        for engine in engines:
-            engine.mode = "lut"
-        ref = model.forward(x)
-        for engine in engines:
-            engine.mode = "lut_quant"
-        out = model.forward(x)
-        assert 0.0 < _rel_err(out, ref) < 0.05
-        assert all(engine.last_mode == "lut_quant" for engine in engines)
-
-    def test_finer_alphabet_shrinks_error(self, rng):
-        module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
-        x = rng.normal(size=(2, 16, 6, 6))
-        module.engine.mode = "lut"
-        ref = module.forward(x)
-        module.engine.mode = "lut_quant"
-        errors = []
-        for levels in (15, DEFAULT_ACT_LEVELS, 4095):
-            module.engine.act_levels = levels
-            errors.append(_rel_err(module.forward(x), ref))
-        assert errors[0] > errors[1] > errors[2]
-
-    def test_quant_backward_runs(self, rng):
-        module = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True,
-                                  mode="lut_quant")
-        x = rng.normal(size=(2, 16, 6, 6))
-        out = module.forward(x)
-        grad_in = module.backward(rng.normal(size=out.shape))
-        assert grad_in.shape == x.shape
-        assert np.all(np.isfinite(grad_in))
-
-
-class TestCostModelLut:
-    def test_fast_lut_rates_select_lut(self):
-        # small table (high reuse) + fast routing: lut beats the dense GEMM
-        fast = InferenceCostModel(lut_gather_elems_per_s=1e15,
-                                  lut_scatter_elems_per_s=1e15)
-        assert fast.select(1, 512, 512, 8, 8, gather_form=True) == "lut"
-
-    def test_slow_lut_rates_never_select_lut(self):
-        slow = InferenceCostModel(lut_gather_elems_per_s=1.0,
-                                  lut_scatter_elems_per_s=1.0)
-        for u in (1, 64, 2048):
-            assert slow.select(8, 512, 256, 8, u,
-                               gather_form=True) == "dense"
-
-    def test_auto_resolves_to_concrete_mode(self):
-        engine = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True,
-                                  mode="auto").engine
-        # free table GEMM + free LUT routing: the LUT path costs next to
-        # nothing, the dense GEMM keeps its default rate
-        engine.cost_model = InferenceCostModel(skinny_gemm_flops_per_s=1e15,
-                                               copy_elems_per_s=1e15,
-                                               lut_gather_elems_per_s=1e15,
-                                               lut_scatter_elems_per_s=1e15)
-        assert engine.choose_mode(batch=64, dtype=np.float64) == "lut"
-        # auto never resolves to the approximate mode — that is opt-in only
-        assert engine.choose_mode(batch=64, dtype=np.float64) != "lut_quant"
-
-    def test_lut_seconds_prices_both_forms(self):
-        model = InferenceCostModel()
-        gather = model.lut_seconds(8, 512, 256, 8, 64, gather_form=True)
-        scatter = model.lut_seconds(8, 512, 256, 8, 64, gather_form=False)
-        assert gather > 0.0 and scatter > 0.0
 
 
 class TestNarrowAssignments:
@@ -184,7 +155,6 @@ class TestNarrowAssignments:
         stats = module.engine.serving_stats()
         assert stats["last_mode"] == "lut"
         assert stats["assignments_dtype"] == "uint8"
-        assert stats["act_levels"] == DEFAULT_ACT_LEVELS
         assert stats["lut_table_bytes"] > 0
 
 

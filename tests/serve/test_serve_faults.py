@@ -168,7 +168,7 @@ class TestDegradation:
         x = rng.normal(size=(8, *INPUT_SHAPE))
         with plan.active(), srv:
             out = srv.predict_many("stack", x)
-        # the stack's `auto` engines already run dense on a CPU, so the
+        # the stack's `auto` engines already run dense, so the
         # dense fallback keeps their bits (a `lut`-pinned replica would
         # match only within float re-association)
         reference = predict_batched(_compressed_stack(), x, batch_size=4)
