@@ -11,18 +11,31 @@ drag codewords towards zero:
   ``c_i = sum_p v_p / sum_p n_p`` (elementwise).
 
 The paper implements the masked distance with a broadcast ``[L, k, d]``
-tensor; since the subvectors are already zero at pruned positions, the same
-quantity expands to ``||w||^2 - 2 w.c + bm . c^2`` which we evaluate with a
-single fused matrix product — no (L, k, d) intermediate is ever
-materialised, so the GPU batching trick in the paper becomes unnecessary on
-CPU.
+tensor and computes "only distances between the unpruned weights and the
+codewords".  With ``w`` zero at pruned positions the same quantity expands
+to ``||w||^2 - 2 w.c + bm . c^2``; the row-constant ``||w||^2`` drops out of
+the argmin, and the rest is evaluated by matrix products over the kept
+coordinates only — no ``(L, k, d)`` intermediate is ever materialised.
 
 Performance notes (shared with :mod:`repro.core.kmeans`):
 
-* Assignment is one blocked GEMM ``[w, bm] @ [-2c, c^2]^T`` whose per-block
-  score matrix is bounded by the global distance budget.
-* The masked update uses flattened ``np.bincount`` segment sums instead of
-  ``np.add.at`` scatter-adds (float64 accumulation built in).
+* The keep-mask is fixed during a run, so each run first builds one
+  compact view of the subvectors: rows are stably sorted by their
+  keep-mask pattern, and a group of rows sharing a pattern ``P`` holds
+  ``[w_P, 1]`` over its kept coordinates only.  Assignment is one blocked
+  GEMM per group, ``[w_P, 1] @ [-2c_P, c_P^2]^T``, scattered back to row
+  order.  Under 2:8 pruning each GEMM runs over 4 columns instead of 16.
+* Patterns with fewer rows than one distance block would each pay a GEMM
+  call for little work, so they are pooled into one group over the union
+  ``U`` of their kept coordinates with ``[w_U, bm_U]`` columns.  A layer
+  that is all pooled runs exactly the fused ``[w, bm] @ [-2c, c^2]^T`` GEMM
+  over its used coordinates.
+* The update bincounts only the kept entries (key ``assignment * d +
+  coordinate``, in row-major order) and takes the counts from the same
+  keys; ``np.bincount`` accumulates in float64 whatever the input dtype.
+* Neither step changes a bit against the full-width formulation: the
+  dropped terms are exact zeros and the kept ones keep their order in the
+  GEMM's and bincount's accumulation.
 * Dense math runs in :func:`repro.core.precision.compute_dtype`; the
   reported SSE always accumulates in float64.
 * ``init="kmeans++"`` seeds by masked-distance D^2 sampling and
@@ -31,55 +44,109 @@ Performance notes (shared with :mod:`repro.core.kmeans`):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import precision
-from repro.core.kmeans import (
-    KMeansResult,
-    _blocked_argmin,
-    _choose_init,
-    segment_sums,
-)
+from repro.core.kmeans import KMeansResult, _blocked_argmin, _choose_init
+
+#: one assignment group: its rows (scatter target), its ``[w, bm]`` columns
+#: over the kept coordinates, and the scorer rows those columns meet
+_Group = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: kept entries of a masked matrix: row indices, coordinates, values
+_Entries = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _augment_mask(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``[w, bm]`` rows for the fused masked-assignment GEMM."""
+def _pattern_groups(data: np.ndarray, mask: np.ndarray, k: int,
+                    block_bytes: Optional[int]) -> List[_Group]:
+    """Compact assignment groups of masked ``data`` (built once per run).
+
+    Rows are stably sorted by keep-mask pattern; the key is the mask's bits
+    packed into ``ceil(d / 8)`` bytes per row, so any ``d`` works.  Patterns
+    with fewer rows than one distance block are pooled over the union of
+    their kept coordinates.
+    """
     n, d = data.shape
-    aug = np.empty((n, 2 * d), dtype=data.dtype)
-    aug[:, :d] = data
-    aug[:, d:] = mask
-    return aug
+    key = np.packbits(np.pad(mask, ((0, 0), (0, -d % 8)))).reshape(n, -1)
+    order = np.lexsort(key.T[::-1])
+    ordered = key[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)])
+    sizes = np.diff(np.r_[starts, n])
+    big = sizes >= precision.block_rows(k, data.dtype.itemsize, block_bytes)
+
+    row_sets = [order[s:s + size] for s, size in zip(starts[big], sizes[big])]
+    if not big.all():
+        row_sets.append(order[np.repeat(~big, sizes)])
+
+    groups = []
+    for rows in row_sets:
+        kept = np.unpackbits(np.bitwise_or.reduce(key[rows], axis=0))[:d]
+        cols = np.flatnonzero(kept)
+        aug = np.concatenate((data.take(rows, axis=0)[:, cols],
+                              mask.take(rows, axis=0)[:, cols]), axis=1, dtype=data.dtype)
+        groups.append((rows, aug, np.r_[cols, cols + d]))
+    return groups
 
 
-def _scorer_mask(codewords: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Fused ``[-2c, c^2]^T`` codeword matrix for ``[w, bm]`` rows."""
+def _group_argmin(groups: List[_Group], codewords: np.ndarray, dt: np.dtype,
+                  block_bytes: Optional[int]) -> np.ndarray:
+    """Nearest codeword per row: one blocked GEMM per group against the
+    matching rows of ``[-2c, c^2]^T``."""
     k, d = codewords.shape
-    scorer = np.empty((2 * d, k), dtype=dtype)
+    scorer = np.empty((2 * d, k), dtype=dt)
     scorer[:d] = -2.0 * codewords.T
     scorer[d:] = (codewords ** 2).T
-    return scorer
+    out = np.empty(sum(rows.size for rows, _, _ in groups), dtype=np.int64)
+    for rows, aug, scorer_rows in groups:
+        out[rows] = _blocked_argmin(aug, scorer[scorer_rows], block_bytes)
+    return out
+
+
+def _kept_entries(data: np.ndarray, mask: np.ndarray) -> _Entries:
+    """Row, coordinate and value of every kept entry, in row-major order."""
+    flat = np.flatnonzero(mask)
+    rows, cols = np.divmod(flat, mask.shape[1])
+    return rows, cols, data.reshape(-1)[flat]
+
+
+def _kept_sums(entries: _Entries, assignments: np.ndarray, k: int,
+               d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-cluster, per-coordinate (sums, counts) over kept entries only."""
+    rows, cols, values = entries
+    keys = assignments[rows] * d + cols
+    sums = np.bincount(keys, weights=values, minlength=k * d)
+    counts = np.bincount(keys, minlength=k * d)
+    return sums.reshape(k, d), counts.reshape(k, d)
+
+
+def _kept_update(sums: np.ndarray, counts: np.ndarray, previous: np.ndarray,
+                 dt: np.dtype) -> np.ndarray:
+    """Eq. 4 from kept-entry sums; coordinates with no count keep ``previous``."""
+    return np.where(counts > 0, sums / np.maximum(counts, 1.0), previous).astype(dt)
 
 
 def masked_assign(data: np.ndarray, mask: np.ndarray, codewords: np.ndarray,
                   block_bytes: Optional[int] = None) -> np.ndarray:
     """Nearest codeword per subvector under the masked distance (Eq. 2).
 
-    ``data`` is assumed pre-masked (zero at pruned positions).  The score
-    ``bm.c^2 - 2 w.c`` is produced by one fused GEMM evaluated in row blocks
-    bounded by the distance budget — chunked and unchunked paths compute the
-    same per-row arithmetic, so their argmins are identical.
+    Pruned values of ``data`` are ignored.  Each row is scored over its
+    kept coordinates only, in row blocks bounded by the distance budget;
+    the argmins are the same for any budget.
     """
     dt = np.result_type(data, codewords)
-    data = np.ascontiguousarray(data, dtype=dt)
-    mask = np.asarray(mask)
-    return _blocked_argmin(_augment_mask(data, mask.astype(dt)),
-                           _scorer_mask(codewords, dt), block_bytes)
+    mask = np.asarray(mask, dtype=bool)
+    data = np.asarray(data, dtype=dt) * mask
+    groups = _pattern_groups(data, mask, codewords.shape[0], block_bytes)
+    return _group_argmin(groups, codewords, dt, block_bytes)
 
 
 def masked_distances(data: np.ndarray, mask: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Full masked squared-distance matrix (N_G, k); used by tests/analysis."""
+    """Full masked squared-distance matrix (N_G, k); used by tests/analysis.
+
+    Pruned values of ``data`` are ignored.
+    """
+    data = data * mask
     data_norm = np.einsum("nd,nd->n", data, data)
     cross = data @ codewords.T
     masked_c_norm = mask @ (codewords**2).T
@@ -90,13 +157,13 @@ def masked_update(data: np.ndarray, mask: np.ndarray, assignments: np.ndarray,
                   k: int, previous: np.ndarray) -> np.ndarray:
     """Masked codeword update (Eq. 4): per-coordinate mean over unpruned entries.
 
-    Coordinates with no unpruned occurrence in a cluster (including entirely
-    empty clusters) keep their previous value.
+    Only kept entries of ``data`` are read.  Coordinates with no unpruned
+    occurrence in a cluster (including entirely empty clusters) keep their
+    previous value.
     """
-    sums = segment_sums(assignments, data, k)
-    counts = segment_sums(assignments, mask.astype(data.dtype), k)
-    updated = np.where(counts > 0, sums / np.maximum(counts, 1.0), previous)
-    return updated.astype(data.dtype)
+    entries = _kept_entries(data, np.asarray(mask, dtype=bool))
+    sums, counts = _kept_sums(entries, assignments, k, data.shape[1])
+    return _kept_update(sums, counts, previous, data.dtype)
 
 
 def masked_kmeans(
@@ -111,12 +178,13 @@ def masked_kmeans(
     minibatch: Optional[int] = None,
     block_bytes: Optional[int] = None,
 ) -> KMeansResult:
-    """Masked k-means over pre-pruned subvectors.
+    """Masked k-means over pruned subvectors.
 
-    ``data`` is the (N_G, d) matrix of pruned subvectors (zeros at pruned
-    positions), ``mask`` the matching boolean keep-mask.  The returned SSE is
-    the masked clustering error ``sum_j ||w_j - q(w_j) o bm_j||^2`` — the
-    quantity the algorithm minimises and the paper reports as "Mask SSE".
+    ``data`` is the (N_G, d) matrix of subvectors, ``mask`` the matching
+    boolean keep-mask; values at pruned positions are ignored.  The returned
+    SSE is the masked clustering error ``sum_j ||w_j - q(w_j) o bm_j||^2`` —
+    the quantity the algorithm minimises and the paper reports as "Mask
+    SSE".
 
     ``max_iterations=0`` performs no update step: the result is the masked
     assignment of the data to the *initial* codewords (``iterations == 0``).
@@ -146,21 +214,21 @@ def masked_kmeans(
     if codewords.shape != (k, data.shape[1]):
         raise ValueError(f"initial codewords must have shape {(k, data.shape[1])}")
 
-    maskf = mask.astype(dt)
-    aug = _augment_mask(data, maskf)
+    groups = _pattern_groups(data, mask, k, block_bytes)
 
     iterations = 0
     if minibatch is not None and max_iterations > 0:
-        codewords = _minibatch_masked(data, maskf, codewords, k, minibatch,
+        codewords = _minibatch_masked(data, mask, codewords, k, minibatch,
                                       max_iterations, rng, block_bytes)
         iterations = max_iterations
-        assignments = _blocked_argmin(aug, _scorer_mask(codewords, dt), block_bytes)
+        assignments = _group_argmin(groups, codewords, dt, block_bytes)
     else:
-        assignments = _blocked_argmin(aug, _scorer_mask(codewords, dt), block_bytes)
+        entries = _kept_entries(data, mask)
+        assignments = _group_argmin(groups, codewords, dt, block_bytes)
         for iterations in range(1, max_iterations + 1):
-            codewords = masked_update(data, mask, assignments, k, codewords)
-            new_assignments = _blocked_argmin(aug, _scorer_mask(codewords, dt),
-                                              block_bytes)
+            sums, counts = _kept_sums(entries, assignments, k, data.shape[1])
+            codewords = _kept_update(sums, counts, codewords, dt)
+            new_assignments = _group_argmin(groups, codewords, dt, block_bytes)
             changed = np.count_nonzero(new_assignments != assignments)
             assignments = new_assignments
             if changed <= change_threshold * data.shape[0]:
@@ -172,7 +240,7 @@ def masked_kmeans(
                         sse=sse, iterations=iterations)
 
 
-def _minibatch_masked(data: np.ndarray, maskf: np.ndarray, codewords: np.ndarray,
+def _minibatch_masked(data: np.ndarray, mask: np.ndarray, codewords: np.ndarray,
                       k: int, batch: int, max_iterations: int,
                       rng: np.random.Generator,
                       block_bytes: Optional[int]) -> np.ndarray:
@@ -185,11 +253,13 @@ def _minibatch_masked(data: np.ndarray, maskf: np.ndarray, codewords: np.ndarray
     counts = np.zeros((k, d), dtype=np.float64)
     for _ in range(max_iterations):
         idx = rng.integers(0, n, size=batch)
-        rows, row_mask = data[idx], maskf[idx]
-        assignments = _blocked_argmin(_augment_mask(rows, row_mask),
-                                      _scorer_mask(codewords, dt), block_bytes)
-        sums += segment_sums(assignments, rows, k)
-        counts += segment_sums(assignments, row_mask, k)
+        rows, row_mask = data[idx], mask[idx]
+        assignments = _group_argmin(_pattern_groups(rows, row_mask, k, block_bytes),
+                                    codewords, dt, block_bytes)
+        batch_sums, batch_counts = _kept_sums(_kept_entries(rows, row_mask),
+                                              assignments, k, d)
+        sums += batch_sums
+        counts += batch_counts
         seen = counts > 0
         codewords[seen] = (sums[seen] / counts[seen]).astype(dt)
     return codewords
