@@ -168,7 +168,7 @@ register_span_point("serve.worker.forward",
                     "trace")
 register_span_point("explore.candidate",
                     "one candidate evaluation (attrs: wave, fidelity, "
-                    "attempts)")
+                    "attempts; shared_with on a shared member)")
 
 register_event_point("fault.injected",
                      "an armed fault_point fired (attrs: point, kind, tag)")

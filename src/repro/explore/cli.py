@@ -39,6 +39,10 @@ def _print_result(result: ExplorationResult) -> None:
           f"{stats['cluster_layers_fresh']} clustered fresh "
           f"(store: {stats['store_hits']} hits / "
           f"{stats['store_misses']} misses)")
+    if stats.get("shared"):
+        print(f"[explore] shared runs: {stats['shared']} accelerator-only "
+              f"variants priced on another candidate's compress + "
+              f"serve_eval run")
     if stats.get("retried"):
         print(f"[explore] transient failures retried: {stats['retried']}")
     for error in stats["errors"]:

@@ -7,27 +7,41 @@ a thread pool; every candidate runs the standard pipeline composition
 comes back as a :class:`CandidateResult` holding its objective vector plus
 the full run report.
 
-Two things make a sweep cheap rather than embarrassingly expensive:
+Three things make a sweep cheap rather than embarrassingly expensive:
 
-* **cluster-cache reuse** — the pipeline's content-hash store already keys
+* **shared runs** — accuracy and compression ratio do not depend on the
+  accelerator, so candidates whose (fidelity-scaled) specs differ only in
+  ``pipeline.accelerator`` form one group, evaluated as one pool task.
+  Its first feasible candidate, the *primary*, runs the full stage list;
+  every other *member* continues the primary's stage context under its own
+  config and runs only ``accel_eval`` (plus ``export``, which names its
+  file after the candidate).  If the primary fails, the next member is
+  promoted and runs in full.  The primary's run is dropped as soon as its
+  group finishes.
+* **cluster-cache reuse** — the pipeline's content-hash store keys
   per-layer clustering by (layer bytes, clustering config, precision), so
-  candidates that share layer settings (e.g. accelerator-only variants, or
-  per-layer overrides touching one stage) skip re-clustering the rest.
-* **signature waves** — candidates with an *identical* clustering signature
-  are scheduled in two waves: one representative computes, then the rest
-  run against the warm cache.  Without this, identical candidates racing
-  in parallel would each miss and recompute; with it the cache hits are
-  deterministic (and asserted in tests/CI).
+  candidates that share layer settings (e.g. per-layer overrides touching
+  one stage, or a different ``codebook_bits``) skip re-clustering the rest.
+* **signature waves** — groups whose primaries have an *identical*
+  clustering signature are scheduled in two waves: one representative
+  computes, then the rest run against the warm cache.  Without this,
+  identical candidates racing in parallel would each miss and recompute;
+  with it the cache hits are deterministic (and asserted in tests/CI).
+  Within a wave, groups run round-robin over their clustering bases (the
+  signature without per-layer overrides), so concurrent workers start on
+  layers they do not share.
 
 Infeasible accelerator combinations are rejected up front
 (:meth:`Evaluator.validate`) with the :class:`ValueError` the
-:class:`~repro.accelerator.config.AcceleratorConfig` constructor raises —
-no compression work is spent on a candidate that cannot be priced.
+:class:`~repro.accelerator.config.AcceleratorConfig` constructor raises,
+before grouping: no compression work is spent on a candidate that cannot
+be priced, and one never becomes a primary or a wave leader.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import multiprocessing
 import threading
@@ -50,6 +64,10 @@ from repro.pipeline.scenarios import Scenario
 #: differing only here share every cluster-cache entry
 _NON_CLUSTER_FIELDS = ("codebook_bits", "weight_bits")
 
+#: stages a shared member runs again on its primary's run: the one that
+#: reads the accelerator section, and ``export``, named per candidate
+_MEMBER_STAGES = ("accel_eval", "export")
+
 
 @dataclass
 class CandidateResult:
@@ -65,6 +83,9 @@ class CandidateResult:
     seconds: float = 0.0
     cluster_layers_cached: int = 0
     cluster_layers_fresh: int = 0
+    #: index of the primary whose run this candidate continued (``None``
+    #: when it ran its own full pipeline)
+    shared_with: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -84,6 +105,7 @@ class CandidateResult:
             "seconds": self.seconds,
             "cluster_layers_cached": self.cluster_layers_cached,
             "cluster_layers_fresh": self.cluster_layers_fresh,
+            "shared_with": self.shared_with,
             "report": copy.deepcopy(self.report),
             "scenario": self.candidate.scenario_spec(),
         }
@@ -122,14 +144,7 @@ def extract_objectives(result: PipelineResult,
     return extracted
 
 
-def clustering_signature(spec: Mapping[str, Any]) -> str:
-    """A stable key of everything that determines a candidate's clustering.
-
-    Two candidates with equal signatures produce byte-identical cluster
-    inputs for *every* layer, so the second one is guaranteed all cache
-    hits.  (Candidates with different signatures may still share individual
-    layers — the content-hash store handles that finer granularity.)
-    """
+def _signature_payload(spec: Mapping[str, Any]) -> Dict[str, Any]:
     config = PipelineConfig.from_dict(dict(spec.get("pipeline", {})))
     base = layer_config_to_dict(config.base)
     for name in _NON_CLUSTER_FIELDS:
@@ -140,7 +155,7 @@ def clustering_signature(spec: Mapping[str, Any]) -> str:
                   if k not in _NON_CLUSTER_FIELDS}
         if fields:
             overrides.append((override.pattern, sorted(fields.items())))
-    payload = {
+    return {
         "model": spec.get("model"),
         "model_kwargs": dict(spec.get("model_kwargs") or {}),
         "base": base,
@@ -149,7 +164,35 @@ def clustering_signature(spec: Mapping[str, Any]) -> str:
         "include_linear": config.include_linear,
         "skip_layers": list(config.skip_layers),
     }
-    return json.dumps(payload, sort_keys=True, default=str)
+
+
+def clustering_signature(spec: Mapping[str, Any]) -> str:
+    """A stable key of everything that determines a candidate's clustering.
+
+    Two candidates with equal signatures produce byte-identical cluster
+    inputs for *every* layer, so the second one is guaranteed all cache
+    hits.  (Candidates with different signatures may still share individual
+    layers — the content-hash store handles that finer granularity.)
+    """
+    return json.dumps(_signature_payload(spec), sort_keys=True, default=str)
+
+
+def _interleaved(groups: List[List[Candidate]]) -> List[List[Candidate]]:
+    """``groups`` reordered round-robin over their clustering bases.
+
+    Groups of one base (equal signatures but for per-layer overrides)
+    share the cluster results of every layer their overrides leave alone.
+    Concurrent workers that start on different bases do not cluster those
+    layers twice, and a base's later groups find them cached.
+    """
+    bases: Dict[str, List[List[Candidate]]] = {}
+    for group in groups:
+        payload = _signature_payload(group[0].spec)
+        del payload["overrides"]
+        key = json.dumps(payload, sort_keys=True, default=str)
+        bases.setdefault(key, []).append(group)
+    rounds = itertools.zip_longest(*bases.values())
+    return [group for round_ in rounds for group in round_ if group is not None]
 
 
 def _scaled_spec(spec: Dict[str, Any], fidelity: float) -> Dict[str, Any]:
@@ -178,6 +221,23 @@ def _scaled_spec(spec: Dict[str, Any], fidelity: float) -> Dict[str, Any]:
     serve = pipeline.setdefault("serve", {})
     serve["num_samples"] = min(int(serve.get("num_samples", 8)), 8)
     return spec
+
+
+def _share_groups(candidates: Sequence[Candidate],
+                  fidelity: float) -> List[List[Candidate]]:
+    """Candidates grouped by everything but their accelerator section.
+
+    The key is the candidate's spec as evaluated at ``fidelity`` without
+    ``pipeline.accelerator``: group members compress and serve_eval
+    identically.  Groups and their members keep candidate order.
+    """
+    groups: Dict[str, List[Candidate]] = {}
+    for candidate in candidates:
+        spec = _scaled_spec(candidate.scenario_spec(), fidelity)
+        spec.get("pipeline", {}).pop("accelerator", None)
+        key = json.dumps(spec, sort_keys=True, default=str)
+        groups.setdefault(key, []).append(candidate)
+    return list(groups.values())
 
 
 class Evaluator:
@@ -235,6 +295,7 @@ class Evaluator:
         self.infeasible = 0
         self.failed = 0
         self.retried = 0
+        self.shared = 0
 
     def _count(self, counter: str, by: int = 1) -> None:
         with self._counter_lock:
@@ -293,25 +354,45 @@ class Evaluator:
 
     def evaluate_one(self, candidate: Candidate, fidelity: float = 1.0,
                      wave: str = "leader") -> CandidateResult:
+        """Validate and evaluate one candidate through its full stage list."""
+        result, _ = self._evaluate_traced(candidate, fidelity, wave,
+                                          self.validate(candidate))
+        return result
+
+    def _evaluate_traced(self, candidate: Candidate, fidelity: float,
+                         wave: str, infeasible: Optional[str],
+                         primary: Optional[Tuple[int, PipelineResult]] = None
+                         ) -> Tuple[CandidateResult, Optional[PipelineResult]]:
+        """One candidate in its own ``explore.candidate`` span."""
+        shared = {} if primary is None else {"shared_with": primary[0]}
         with telemetry.span("explore.candidate", candidate=candidate.index,
                             wave=wave, fidelity=fidelity,
-                            proxy=fidelity < 1.0) as sp:
-            result = self._evaluate_one(candidate, fidelity)
+                            proxy=fidelity < 1.0, **shared) as sp:
+            result, run = self._evaluate_one(candidate, fidelity, infeasible,
+                                             primary)
             sp.set_attribute("attempts", result.attempts)
             if result.error_type is not None:
                 sp.set_attribute("error", result.error_type)
-        return result
+        return result, run
 
-    def _evaluate_one(self, candidate: Candidate,
-                      fidelity: float = 1.0) -> CandidateResult:
+    def _evaluate_one(self, candidate: Candidate, fidelity: float,
+                      infeasible: Optional[str],
+                      primary: Optional[Tuple[int, PipelineResult]]
+                      ) -> Tuple[CandidateResult, Optional[PipelineResult]]:
+        """The result plus, on success, the run later group members may
+        continue.  ``primary`` is the ``(index, run)`` this candidate
+        continues instead of running its own full pipeline."""
         start = time.perf_counter()
-        error = self.validate(candidate)
-        if error is not None:
+        if infeasible is not None:
             self._count("infeasible")
-            return CandidateResult(candidate=candidate, error=error,
+            return CandidateResult(candidate=candidate, error=infeasible,
                                    error_type="InfeasibleCandidate",
                                    attempts=0, fidelity=fidelity,
-                                   seconds=time.perf_counter() - start)
+                                   seconds=time.perf_counter() - start), None
+        shared_with = None
+        if primary is not None:
+            shared_with = primary[0]
+            self._count("shared")
         spec = _scaled_spec(candidate.scenario_spec(), fidelity)
         scenario = Scenario.from_dict({
             **spec,
@@ -332,8 +413,14 @@ class Evaluator:
                                     workload=scenario.workload,
                                     input_shape=scenario.input_shape,
                                     scenario=scenario.name)
-                run = pipeline.run(scenario.build_model(),
-                                   stages=self._stage_list(config))
+                stages = self._stage_list(config)
+                if primary is None:
+                    run = pipeline.run(scenario.build_model(), stages=stages)
+                else:
+                    context = pipeline.branch(primary[1].context,
+                                              _MEMBER_STAGES)
+                    run = pipeline.run(context.model, stages=stages,
+                                       context=context)
                 objectives = extract_objectives(run, self.objectives)
                 break
             except Exception as exc:  # failure must not kill the sweep
@@ -348,9 +435,14 @@ class Evaluator:
                                        error_type=type(exc).__name__,
                                        attempts=attempts,
                                        fidelity=fidelity,
-                                       seconds=time.perf_counter() - start)
+                                       seconds=time.perf_counter() - start,
+                                       shared_with=shared_with), None
 
         cluster = run.event_for("cluster") or {}
+        cached = len(cluster.get("layers_cached", []))
+        fresh = len(cluster.get("layers_clustered", []))
+        if primary is not None:      # every layer came with the primary's run
+            cached, fresh = cached + fresh, 0
         serve = run.artifacts.get("serve_report") or {}
         accel = run.artifacts.get("accel_report") or {}
         report = {
@@ -374,56 +466,89 @@ class Evaluator:
             attempts=attempts,
             fidelity=fidelity,
             seconds=time.perf_counter() - start,
-            cluster_layers_cached=len(cluster.get("layers_cached", [])),
-            cluster_layers_fresh=len(cluster.get("layers_clustered", [])),
-        )
+            cluster_layers_cached=cached,
+            cluster_layers_fresh=fresh,
+            shared_with=shared_with,
+        ), run
+
+    def _evaluate_group(self, group: Sequence[Candidate], fidelity: float,
+                        wave: str) -> List[CandidateResult]:
+        """One sharing group, in order: the first candidate whose full run
+        succeeds is the primary, every later one continues that run."""
+        results = []
+        primary: Optional[Tuple[int, PipelineResult]] = None
+        for candidate in group:
+            if primary is None:
+                result, run = self._evaluate_traced(candidate, fidelity,
+                                                    wave, None)
+                if run is not None:
+                    primary = (candidate.index, run)
+            else:
+                result, _ = self._evaluate_traced(candidate, fidelity,
+                                                  "shared", None, primary)
+            results.append(result)
+        return results
 
     def evaluate(self, candidates: Sequence[Candidate],
                  fidelity: float = 1.0) -> List[CandidateResult]:
-        """Evaluate all candidates, in signature waves (see module docs).
+        """Evaluate all candidates: validated, grouped into shared runs and
+        scheduled in signature waves (see module docs).
 
-        Results come back in candidate order and are identical to a
-        sequential evaluation — parallelism changes wall time, not output.
+        Results come back in candidate order and are identical to
+        evaluating each candidate alone — sharing and parallelism change
+        wall time, not output.
         """
-        leaders: List[Candidate] = []
-        followers: List[Candidate] = []
-        seen: Dict[str, bool] = {}
+        results: Dict[int, CandidateResult] = {}
+        feasible: List[Candidate] = []
         for candidate in candidates:
-            signature = clustering_signature(candidate.spec)
-            if signature in seen:
-                followers.append(candidate)
+            error = self.validate(candidate)
+            if error is None:
+                feasible.append(candidate)
             else:
-                seen[signature] = True
-                leaders.append(candidate)
+                results[candidate.index], _ = self._evaluate_traced(
+                    candidate, fidelity, "infeasible", error)
+
+        leaders: List[List[Candidate]] = []
+        followers: List[List[Candidate]] = []
+        seen = set()
+        for group in _share_groups(feasible, fidelity):
+            signature = clustering_signature(group[0].spec)
+            (followers if signature in seen else leaders).append(group)
+            seen.add(signature)
 
         backend = self._backend_used = self._resolve_backend()
-        results: Dict[int, CandidateResult] = {}
         for label, wave in (("leader", leaders), ("follower", followers)):
             if not wave:
                 continue
+            wave = _interleaved(wave)
             workers = min(self.workers, len(wave))
             if backend == "process" and workers > 1:
                 # spans of spawned evaluation workers stay worker-local
                 # (no IPC trace channel here); the parent still sees the
                 # wave structure through the store's hit/miss counters
-                outcomes = self._evaluate_wave_process(wave, fidelity)
+                outcomes = self._evaluate_wave_process(
+                    [c for group in wave for c in group], fidelity, workers,
+                    label)
             else:
                 with cpu.parallel(workers) as granted:
                     if granted > 1:
                         with ThreadPoolExecutor(max_workers=granted) as pool:
                             outcomes = list(pool.map(
-                                lambda c: self.evaluate_one(
-                                    c, fidelity, wave=label), wave))
+                                lambda g: self._evaluate_group(
+                                    g, fidelity, label), wave))
                     else:
-                        outcomes = [self.evaluate_one(c, fidelity, wave=label)
-                                    for c in wave]
-            for candidate, outcome in zip(wave, outcomes):
-                results[candidate.index] = outcome
+                        outcomes = [self._evaluate_group(g, fidelity, label)
+                                    for g in wave]
+            for group_results in outcomes:
+                for result in group_results:
+                    results[result.candidate.index] = result
         return [results[c.index] for c in candidates]
 
     def _process_payloads(self, wave: Sequence[Candidate], fidelity: float,
-                          workers: int) -> List[Dict[str, Any]]:
-        """What each spawned worker of a process wave is sent."""
+                          workers: int,
+                          label: str = "leader") -> List[Dict[str, Any]]:
+        """What each spawned worker of a process wave is sent: one payload
+        per sharing group of ``wave``."""
         from repro.core.precision import compute_dtype, distance_block_bytes
 
         base = {
@@ -433,29 +558,33 @@ class Evaluator:
             "retries": self.retries,
             "backoff_ms": self.backoff_ms,
             "fidelity": fidelity,
+            "wave": label,
             "compute_dtype": compute_dtype().name,
             "distance_block_bytes": distance_block_bytes(),
             "blas_threads": cpu.worker_blas_threads(workers),
         }
-        return [{**base, "index": c.index, "values": c.values,
-                 "spec": c.scenario_spec()} for c in wave]
+        return [{**base, "group": [{"index": c.index, "values": c.values,
+                                    "spec": c.scenario_spec()}
+                                   for c in group]}
+                for group in _share_groups(wave, fidelity)]
 
     def _evaluate_wave_process(self, wave: Sequence[Candidate],
-                               fidelity: float) -> List[CandidateResult]:
-        """One wave on spawned worker processes over the disk-backed store."""
-        workers = min(self.workers, len(wave))
-        payloads = self._process_payloads(wave, fidelity, workers)
+                               fidelity: float, workers: int,
+                               label: str) -> List[List[CandidateResult]]:
+        """One wave on spawned worker processes over the disk-backed store;
+        one task, and one result list, per sharing group."""
+        payloads = self._process_payloads(wave, fidelity, workers, label)
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=context) as pool:
             outcomes = list(pool.map(_evaluate_candidate_process, payloads))
-        results = []
-        for result, counters in outcomes:
+        groups = []
+        for *results, counters in outcomes:
             for counter, value in counters.items():
                 if value:
                     self._count(counter, value)
-            results.append(result)
-        return results
+            groups.append(results)
+        return groups
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -465,22 +594,25 @@ class Evaluator:
             "infeasible": self.infeasible,
             "failed": self.failed,
             "retried": self.retried,
+            "shared": self.shared,
             "store": self.store.stats(),
             "cpu": cpu.policy(),
         }
 
 
-def _evaluate_candidate_process(
-        payload: Dict[str, Any]) -> Tuple[CandidateResult, Dict[str, int]]:
-    """Spawned-worker entry: evaluate one candidate, return result + counters.
+def _evaluate_candidate_process(payload: Dict[str, Any]) -> Tuple[Any, ...]:
+    """Spawned-worker entry: evaluate one sharing group.
 
-    Rebuilds a fresh single-use :class:`Evaluator` (thread locks don't
-    pickle) against the parent's disk cache, precision settings and BLAS
-    thread share, so a process-backend sweep is observationally identical
-    to a thread sweep.  :func:`cpu.enter_worker` marks the process as one
-    pool worker, so a candidate whose pipeline asks for compressor
-    ``workers`` clusters with one worker instead of starting a pool per
-    spawned worker.
+    Returns the group's :class:`CandidateResult`\\ s in group order,
+    followed by the worker's counter dict.  Rebuilds a fresh single-use
+    :class:`Evaluator` (thread locks don't pickle) against the parent's
+    disk cache, precision settings and BLAS thread share, and shares the
+    primary's run with the group's members exactly as a thread worker
+    does, so a process-backend sweep is observationally identical to a
+    thread sweep.  :func:`cpu.enter_worker` marks the process as one pool
+    worker, so a candidate whose pipeline asks for compressor ``workers``
+    clusters with one worker instead of starting a pool per spawned
+    worker.
     """
     from repro.core.precision import set_compute_dtype, set_distance_block_bytes
     from repro.explore.space import SearchSpace as _SearchSpace
@@ -493,11 +625,12 @@ def _evaluate_candidate_process(
                           stages=payload["stages"],
                           retries=payload["retries"],
                           backoff_ms=payload["backoff_ms"])
-    candidate = Candidate(index=int(payload["index"]),
-                          values=tuple(tuple(pair) for pair
-                                       in payload["values"]),
-                          spec=payload["spec"])
-    result = evaluator.evaluate_one(candidate, payload["fidelity"])
+    group = [Candidate(index=int(entry["index"]),
+                       values=tuple(tuple(pair) for pair in entry["values"]),
+                       spec=entry["spec"])
+             for entry in payload["group"]]
+    results = evaluator._evaluate_group(group, payload["fidelity"],
+                                        payload["wave"])
     counters = {name: getattr(evaluator, name) for name in
-                ("evaluated", "infeasible", "failed", "retried")}
-    return result, counters
+                ("evaluated", "infeasible", "failed", "retried", "shared")}
+    return (*results, counters)

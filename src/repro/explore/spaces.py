@@ -144,7 +144,7 @@ register_space(SearchSpace.from_dict({
     "name": "accel-sweep",
     "description": "Fixed compression, accelerator-only sweep (hardware "
                    "setting x array size): every candidate shares the "
-                   "cluster cache, so only the first one clusters.",
+                   "first one's compress + serve_eval run.",
     "model": "resnet18",
     "model_kwargs": {"num_classes": 5, "seed": 1},
     "workload": "resnet18",

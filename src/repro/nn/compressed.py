@@ -321,7 +321,16 @@ class CentroidEngine:
     def _route_chunk(self, out_width: int, itemsize: int) -> int:
         """Routed reads summed per step of the gather cores, sized for a full
         row chunk: the summation order is then fixed per layer, whatever
-        the number of rows in the chunk at hand."""
+        the number of rows in the chunk at hand.
+
+        It is not fixed across distance block budgets: the budget sets
+        this step count and the row pieces of :meth:`_chunk_rows`, so
+        gather-form (``INPUT``/``KERNEL``) float64 outputs move in the last
+        bits from one budget to another (within 1e-12 relative).  The
+        scatter-form ``OUTPUT`` forward, and the float32 gather forward,
+        were measured bit-equal across 1 MiB, 64 KiB and 4 KiB budgets;
+        ``TestLutBitsAcrossBudgets`` pins both.
+        """
         rows = self._chunk_rows(itemsize)
         return max(1, distance_block_bytes() // max(1, out_width * rows * itemsize))
 

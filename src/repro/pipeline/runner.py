@@ -146,6 +146,29 @@ class Pipeline:
             scenario=self.scenario,
         )
 
+    def branch(self, context: StageContext,
+               rerun: Sequence[str]) -> StageContext:
+        """Continue another run's ``context`` under this pipeline's config.
+
+        The branch holds the context's model, events and artifacts, minus
+        what the ``rerun`` stages produced; passed to :meth:`run`, it runs
+        those stages again under this config and reuses everything else.
+        Sound only when the two configs differ in sections that just the
+        ``rerun`` stages read, e.g. accelerator variants of one compressed
+        model re-running ``accel_eval``.
+        """
+        rerun = set(rerun)
+        dropped = {artifact for name in rerun
+                   for artifact in get_stage(name).provides}
+        branch = self.context_for(context.model)
+        branch.events = [event for event in context.events
+                         if event["stage"] not in rerun]
+        branch.completed = [name for name in context.completed
+                            if name not in rerun]
+        branch.artifacts = {name: value for name, value
+                            in context.artifacts.items() if name not in dropped}
+        return branch
+
     def run(self, model, stages: Optional[Sequence[str]] = None,
             context: Optional[StageContext] = None) -> PipelineResult:
         """Execute the configured (or given) stage list over ``model``.

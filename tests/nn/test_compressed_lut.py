@@ -12,6 +12,7 @@ import pytest
 from repro.core import LayerCompressionConfig, MVQCompressor
 from repro.core.codebook import assignment_dtype
 from repro.core.grouping import GroupingStrategy
+from repro.core.precision import precision
 from repro.nn import Conv2d, Sequential
 from repro.nn.compressed import MODES, compress_module
 from repro.pipeline.config import PipelineConfig
@@ -126,6 +127,41 @@ class TestLutRouting:
         flat = module.engine._lut["flat"]
         module.forward(x)
         assert module.engine._lut["flat"] is flat  # cached, not rebuilt
+
+
+class TestLutBitsAcrossBudgets:
+    """The distance block budget sizes the LUT cores' row chunks and
+    routed-sum steps, so it may move float summation order."""
+
+    BUDGETS = (1 << 20, 1 << 16, 1 << 12)
+
+    def _outputs(self, strategy, d, n_keep, m, dtype):
+        with precision(dtype):
+            module = _compressed_conv(strategy, d, n_keep, m, True)
+            x = np.random.default_rng(5).normal(
+                size=(4, 16, 8, 8)).astype(dtype)
+            outputs = []
+            for budget in self.BUDGETS:
+                with precision(block_bytes=budget):
+                    outputs.append(module.forward(x))
+        return outputs
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("strategy,d,n_keep,m", STRATEGY_CONFIGS,
+                             ids=[s.value for s, *_ in STRATEGY_CONFIGS])
+    def test_lut_forward_across_budgets(self, strategy, d, n_keep, m, dtype):
+        reference, *others = self._outputs(strategy, d, n_keep, m, dtype)
+        gather_f64 = (dtype == "float64"
+                      and strategy is not GroupingStrategy.OUTPUT)
+        for output in others:
+            if gather_f64:
+                # float64 GEMMs over a different number of rows, and a
+                # different number of routed-sum steps, round differently
+                np.testing.assert_allclose(output, reference, rtol=1e-12,
+                                           atol=1e-12 * np.abs(
+                                               reference).max())
+            else:
+                np.testing.assert_array_equal(output, reference)
 
 
 class TestNarrowAssignments:
