@@ -22,15 +22,14 @@ D (MVQ)   True    True               True         the paper's method
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import cpu, precision
+from repro.core import cpu
 from repro.core.codebook import Codebook
 from repro.core.grouping import GroupingStrategy, compatible_d, group_weight
 from repro.core.kmeans import kmeans
@@ -43,28 +42,18 @@ from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 
 
-#: recognised values of ``MVQCompressor(parallel_backend=...)``
-PARALLEL_BACKENDS = ("auto", "thread", "process")
-
-#: clustering work (subvectors x iterations) above which ``"auto"`` prefers
-#: real processes over threads: below this the fork/pickle overhead dominates,
-#: above it the GIL-holding portions of the numpy path do
-_PROCESS_BACKEND_WORK_THRESHOLD = 2_000_000
-
-
 def _cluster_layer_task(args):
-    """Cluster one prepared layer; top-level so process pools can pickle it.
+    """Cluster one prepared layer ``(pruned, mask, cfg, seed)``.
 
-    The worker re-applies the caller's precision policy explicitly: child
-    processes inherit only the environment defaults, not scoped
-    ``precision(...)`` overrides active in the parent.
+    Runs under the caller's precision policy: it is process-wide module
+    state, so pool threads see the same policy as the thread that started
+    them.
     """
-    pruned, mask, cfg, seed, dtype_name, block_bytes = args
-    with precision.precision(dtype_name, block_bytes):
-        if cfg.use_masked_kmeans:
-            return masked_kmeans(pruned, mask, cfg.k, cfg.max_kmeans_iterations,
-                                 seed=seed)
-        return kmeans(pruned, cfg.k, cfg.max_kmeans_iterations, seed=seed)
+    pruned, mask, cfg, seed = args
+    if cfg.use_masked_kmeans:
+        return masked_kmeans(pruned, mask, cfg.k, cfg.max_kmeans_iterations,
+                             seed=seed)
+    return kmeans(pruned, cfg.k, cfg.max_kmeans_iterations, seed=seed)
 
 
 @dataclass
@@ -259,8 +248,7 @@ class MVQCompressor:
                  quantize_codebook: bool = True,
                  include_linear: bool = False,
                  workers: Optional[int] = None,
-                 decorrelate_seeds: bool = False,
-                 parallel_backend: str = "auto"):
+                 decorrelate_seeds: bool = False):
         self.config = config
         self.per_layer_overrides = per_layer_overrides or {}
         self.crosslayer = crosslayer
@@ -269,13 +257,8 @@ class MVQCompressor:
         self.include_linear = include_linear
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-                f"got {parallel_backend!r}")
         self.workers = workers
         self.decorrelate_seeds = decorrelate_seeds
-        self.parallel_backend = parallel_backend
 
     # -- layer selection -----------------------------------------------------
     def compressible_layers(self, model: Module) -> List[Tuple[str, Module]]:
@@ -340,10 +323,8 @@ class MVQCompressor:
                  cfg: LayerCompressionConfig, seed: Optional[int] = None):
         seed = cfg.seed if seed is None else seed
         # single dispatch site: the crosslayer path runs the same task the
-        # layer-wise pools do, under the caller's current precision policy
-        return _cluster_layer_task((data, mask, cfg, seed,
-                                    str(precision.compute_dtype()),
-                                    precision.distance_block_bytes()))
+        # layer-wise pool does
+        return _cluster_layer_task((data, mask, cfg, seed))
 
     # -- public API ------------------------------------------------------------
     def compress(self, model: Module) -> CompressedModel:
@@ -385,69 +366,38 @@ class MVQCompressor:
             return 1
         return max(1, min(self.workers, num_layers))
 
-    def _choose_backend(self, tasks) -> str:
-        if self.parallel_backend != "auto":
-            return self.parallel_backend
-        # never auto-select processes under a spawn start method: spawned
-        # workers re-import __main__, which breaks unguarded user scripts
-        # that were fine with the historical thread pool (explicitly
-        # requesting parallel_backend="process" remains available).
-        # allow_none probing keeps the caller free to set_start_method()
-        # later; None means unset, whose platform default leads
-        # get_all_start_methods().
-        start_method = multiprocessing.get_start_method(allow_none=True)
-        if start_method is None:
-            start_method = multiprocessing.get_all_start_methods()[0]
-        if start_method != "fork":
-            return "thread"
-        work = sum(task[0].shape[0] * task[2].max_kmeans_iterations
-                   for task in tasks)
-        return "process" if work >= _PROCESS_BACKEND_WORK_THRESHOLD else "thread"
-
     def cluster_layerwise(self, targets, prepared,
                           subset: Optional[Iterable[str]] = None) -> Dict[str, "object"]:
         """``cluster`` stage, layerwise: independent k-means per layer,
-        optionally across a worker pool.
+        optionally across a thread pool.
 
         Per-layer runs share no state and use deterministic per-layer seeds
-        (:meth:`_layer_seed`), so every parallel path — and any ``subset``
+        (:meth:`_layer_seed`), so the parallel path — and any ``subset``
         of layers, which is how the pipeline's artifact cache re-clusters
         only invalidated layers — is bit-identical to a sequential full
-        run.  Three backends:
-
-        * ``"thread"`` — cheap, parallel only in the GIL-releasing BLAS
-          and bincount portions of the clustering kernels;
-        * ``"process"`` — a fork-based pool with the caller's precision
-          policy shipped to each worker, parallel across the whole kernel;
-        * ``"auto"`` — processes for coarse work, threads for small runs
-          where fork/pickle overhead would dominate.
+        run.  The threads run in parallel in the GIL-releasing BLAS and
+        bincount portions of the clustering kernels.
 
         Layers are scheduled largest-first so one big trailing layer does
         not serialise the tail of the pool (classic makespan reduction).
         The pool runs inside the :func:`repro.core.cpu.parallel` budget:
-        at most one worker per CPU, BLAS threads split between them (fork
-        children inherit the split), and one worker when nested in
-        another pool.  Returns ``{layer name: KMeansResult}``.
+        at most one worker per CPU, BLAS threads split between them, and
+        one worker when nested in another pool.  Returns
+        ``{layer name: KMeansResult}``.
         """
         wanted = None if subset is None else set(subset)
         names = [name for name, _ in targets if wanted is None or name in wanted]
-        dtype_name = str(precision.compute_dtype())
-        block_bytes = precision.distance_block_bytes()
         tasks = []
         for name in names:
             cfg, _, pruned, mask = prepared[name]
-            tasks.append((pruned, mask, cfg, self._layer_seed(name, cfg),
-                          dtype_name, block_bytes))
+            tasks.append((pruned, mask, cfg, self._layer_seed(name, cfg)))
 
         with cpu.parallel(self._effective_workers(len(names))) as workers:
             if workers > 1:
                 order = sorted(range(len(tasks)),
                                key=lambda i: tasks[i][0].shape[0], reverse=True)
-                backend = self._choose_backend(tasks)
-                pool_cls = (ProcessPoolExecutor if backend == "process"
-                            else ThreadPoolExecutor)
                 results: List = [None] * len(tasks)
-                with pool_cls(max_workers=workers) as pool:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
                     futures = {i: pool.submit(_cluster_layer_task, tasks[i])
                                for i in order}
                     for i, future in futures.items():

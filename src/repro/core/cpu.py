@@ -12,9 +12,9 @@ setting, so every pool splits the cores the same way:
   entered while another holds the budget (a pool inside a pool, or a pool
   on another thread) gets a single worker and leaves BLAS alone.
 * :func:`worker_blas_threads` — the same split for spawned worker
-  processes, which apply it with :func:`enter_worker` on start-up; that
-  also holds the budget for the worker's life, so a pool started inside a
-  worker gets a single worker.
+  processes (the process serving replicas), which apply it with
+  :func:`enter_worker` on start-up; that also holds the budget for the
+  worker's life, so a pool started inside a worker gets a single worker.
 * :func:`policy` — the resolved setting, stamped into reports, with the
   k-means distance block budget (:mod:`repro.core.precision`).
 
@@ -128,9 +128,8 @@ def parallel(workers: int) -> Iterator[int]:
     A request for one worker is sequential: it grants 1 and holds nothing.
     Otherwise the outermost region grants ``min(workers, cpus)`` and sets
     BLAS to ``cpus // granted`` threads, restoring the previous count on
-    exit (exceptions included); a nested or concurrent region grants 1.
-    Fork-started children inherit both the BLAS setting and the held
-    budget, so pools inside them run sequentially.
+    exit (exceptions included); a nested or concurrent region grants 1,
+    so a pool started from a pool's thread runs sequentially.
     """
     global _active, _last_granted
     if workers <= 1:
@@ -156,9 +155,8 @@ def enter_worker(blas_threads: Optional[int]) -> None:
     """Start-up call of a spawned pool worker process, for its whole life.
 
     Sets BLAS to the parent's share (``None`` leaves it alone) and marks
-    the budget as held, so a pool started inside — a compressor asked for
-    ``workers`` in a spawned explore worker — grants one worker instead of
-    splitting the cores again.
+    the budget as held, so a pool started inside the worker grants one
+    worker instead of splitting the cores again.
     """
     global _in_worker
     with _lock:

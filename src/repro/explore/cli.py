@@ -33,7 +33,7 @@ def _print_result(result: ExplorationResult) -> None:
     print(f"[explore] space {result.space.name!r}: strategy "
           f"{result.strategy}, {stats['candidates']} candidates evaluated "
           f"in {stats['seconds']:.2f}s "
-          f"({stats['workers']} {stats.get('backend', 'thread')} workers)")
+          f"({stats['workers']} workers)")
     print(f"[explore] cluster cache: "
           f"{stats['cluster_layers_cached']} layer results reused, "
           f"{stats['cluster_layers_fresh']} clustered fresh "
@@ -83,11 +83,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="override the space's candidate budget")
     run_p.add_argument("--workers", type=int, default=None,
                        help="evaluator pool size (default: CPU count)")
-    run_p.add_argument("--backend", choices=("auto", "thread", "process"),
-                       default="thread",
-                       help="evaluator workers: threads (default), spawned "
-                            "processes over a disk-backed --cache-dir, or "
-                            "auto (process iff >1 CPU and --cache-dir)")
     run_p.add_argument("--cache-dir", default=None,
                        help="artifact cache directory shared across "
                             "candidates (and across runs)")
@@ -167,19 +162,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[explore] chaos session: fault rate {args.faults} "
               f"(seed {args.fault_seed})")
         with plan.active():
-            # the evaluator itself also forces threads under an active
-            # plan — process workers would not see the injected faults
             result = explore(space, strategy=args.strategy,
                              budget=args.budget, cache_dir=args.cache_dir,
-                             workers=args.workers, retries=args.retries,
-                             backend=args.backend)
+                             workers=args.workers, retries=args.retries)
         summary = plan.summary()
         print(f"[explore] injected faults: "
               f"{ {k: v for k, v in summary['injections'].items() if v} }")
     else:
         result = explore(space, strategy=args.strategy, budget=args.budget,
                          cache_dir=args.cache_dir, workers=args.workers,
-                         retries=args.retries, backend=args.backend)
+                         retries=args.retries)
     _print_result(result)
 
     telemetry_summary = None

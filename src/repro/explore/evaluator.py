@@ -2,7 +2,9 @@
 
 One :class:`Evaluator` owns a shared
 :class:`~repro.pipeline.artifacts.ArtifactStore` and fans candidates across
-a thread pool; every candidate runs the standard pipeline composition
+a thread pool, the only pool kind it has: the threads share the store and
+the caller's fault plan, and run inside the :mod:`repro.core.cpu` budget.
+Every candidate runs the standard pipeline composition
 (compress → serve_eval for accuracy/CR → accel_eval for latency/energy) and
 comes back as a :class:`CandidateResult` holding its objective vector plus
 the full run report.
@@ -43,16 +45,15 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core import cpu, telemetry
 from repro.core.compressor import layer_config_to_dict
-from repro.core.faults import active_plan, fault_point
+from repro.core.faults import fault_point
 from repro.explore.pareto import Objective, resolve_objectives
 from repro.explore.space import Candidate, EXPLORE_STAGES, SearchSpace
 from repro.pipeline.artifacts import ArtifactStore
@@ -241,26 +242,13 @@ def _share_groups(candidates: Sequence[Candidate],
 
 
 class Evaluator:
-    """Fans candidates of one :class:`SearchSpace` across workers.
+    """Fans candidates of one :class:`SearchSpace` across worker threads.
 
-    ``backend`` picks the worker kind:
-
-    * ``"thread"`` (default) — shared in-process :class:`ArtifactStore`,
-      cheapest on a single CPU, and the only backend a
-      :class:`~repro.core.faults.FaultPlan` can reach (plans are
-      thread-scoped and do not cross processes).
-    * ``"process"`` — spawned worker processes, each rebuilding a
-      single-use Evaluator against the same **disk-backed** store (the
-      crash-safe content-hash cache is the cross-process channel, so the
-      signature-wave cache guarantee still holds).  Requires ``cache_dir``;
-      with a memory-only store it degrades to threads.
-    * ``"auto"`` — ``"process"`` iff more than one CPU is available *and*
-      the store is disk-backed, else ``"thread"``.
-
-    Both pools draw from the :mod:`repro.core.cpu` budget: thread waves
-    run inside :func:`~repro.core.cpu.parallel` (so compressor pools
-    inside a candidate get one worker), spawned workers start with their
-    share of the BLAS threads.
+    The threads share one in-process :class:`ArtifactStore` (memory-only,
+    or disk-backed with ``cache_dir``) and the caller's
+    :class:`~repro.core.faults.FaultPlan`.  Each wave runs inside the
+    :func:`repro.core.cpu.parallel` budget, so a compressor pool inside a
+    candidate gets one worker.
     """
 
     def __init__(self, space: SearchSpace,
@@ -268,16 +256,11 @@ class Evaluator:
                  cache_dir: Optional[str] = None,
                  workers: Optional[int] = None,
                  stages: Optional[Sequence[str]] = None,
-                 retries: int = 2, backoff_ms: float = 25.0,
-                 backend: str = "thread"):
+                 retries: int = 2, backoff_ms: float = 25.0):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if backoff_ms < 0:
             raise ValueError("backoff_ms must be >= 0")
-        if backend not in ("auto", "thread", "process"):
-            raise ValueError(
-                f"backend must be 'auto', 'thread' or 'process', "
-                f"got {backend!r}")
         self.space = space
         self.store = store if store is not None else ArtifactStore(cache_dir)
         cpus = cpu.available_cpus()
@@ -287,8 +270,6 @@ class Evaluator:
         self.objectives = resolve_objectives(space.objectives)
         self.retries = int(retries)
         self.backoff_ms = float(backoff_ms)
-        self.backend = backend
-        self._backend_used = "thread"
         # counters are bumped from worker threads; += is not atomic
         self._counter_lock = threading.Lock()
         self.evaluated = 0
@@ -300,30 +281,6 @@ class Evaluator:
     def _count(self, counter: str, by: int = 1) -> None:
         with self._counter_lock:
             setattr(self, counter, getattr(self, counter) + by)
-
-    def _resolve_backend(self) -> str:
-        """The backend actually used for this evaluate() call.
-
-        Resolved per call (not per Evaluator) because the two dynamic
-        conditions — an active fault plan, a single usable worker — can
-        change between sweeps on the same Evaluator.
-        """
-        on_disk = self.store.cache_dir is not None
-        if self.backend == "auto":
-            if cpu.available_cpus() > 1 and on_disk:
-                resolved = "process"
-            else:
-                resolved = "thread"
-        else:
-            resolved = self.backend
-        if resolved == "process":
-            if active_plan() is not None:
-                # fault plans are thread-scoped: a spawned worker would
-                # silently evaluate without the injected faults
-                resolved = "thread"
-            elif not on_disk or self.workers <= 1:
-                resolved = "thread"
-        return resolved
 
     # -- validation -------------------------------------------------------------
     def validate(self, candidate: Candidate) -> Optional[str]:
@@ -516,80 +473,27 @@ class Evaluator:
             (followers if signature in seen else leaders).append(group)
             seen.add(signature)
 
-        backend = self._backend_used = self._resolve_backend()
         for label, wave in (("leader", leaders), ("follower", followers)):
             if not wave:
                 continue
             wave = _interleaved(wave)
-            workers = min(self.workers, len(wave))
-            if backend == "process" and workers > 1:
-                # spans of spawned evaluation workers stay worker-local
-                # (no IPC trace channel here); the parent still sees the
-                # wave structure through the store's hit/miss counters
-                outcomes = self._evaluate_wave_process(
-                    [c for group in wave for c in group], fidelity, workers,
-                    label)
-            else:
-                with cpu.parallel(workers) as granted:
-                    if granted > 1:
-                        with ThreadPoolExecutor(max_workers=granted) as pool:
-                            outcomes = list(pool.map(
-                                lambda g: self._evaluate_group(
-                                    g, fidelity, label), wave))
-                    else:
-                        outcomes = [self._evaluate_group(g, fidelity, label)
-                                    for g in wave]
+            with cpu.parallel(min(self.workers, len(wave))) as granted:
+                if granted > 1:
+                    with ThreadPoolExecutor(max_workers=granted) as pool:
+                        outcomes = list(pool.map(
+                            lambda g: self._evaluate_group(g, fidelity, label),
+                            wave))
+                else:
+                    outcomes = [self._evaluate_group(g, fidelity, label)
+                                for g in wave]
             for group_results in outcomes:
                 for result in group_results:
                     results[result.candidate.index] = result
         return [results[c.index] for c in candidates]
 
-    def _process_payloads(self, wave: Sequence[Candidate], fidelity: float,
-                          workers: int,
-                          label: str = "leader") -> List[Dict[str, Any]]:
-        """What each spawned worker of a process wave is sent: one payload
-        per sharing group of ``wave``."""
-        from repro.core.precision import compute_dtype, distance_block_bytes
-
-        base = {
-            "space": self.space.to_dict(),
-            "cache_dir": str(self.store.cache_dir),
-            "stages": self.stages,
-            "retries": self.retries,
-            "backoff_ms": self.backoff_ms,
-            "fidelity": fidelity,
-            "wave": label,
-            "compute_dtype": compute_dtype().name,
-            "distance_block_bytes": distance_block_bytes(),
-            "blas_threads": cpu.worker_blas_threads(workers),
-        }
-        return [{**base, "group": [{"index": c.index, "values": c.values,
-                                    "spec": c.scenario_spec()}
-                                   for c in group]}
-                for group in _share_groups(wave, fidelity)]
-
-    def _evaluate_wave_process(self, wave: Sequence[Candidate],
-                               fidelity: float, workers: int,
-                               label: str) -> List[List[CandidateResult]]:
-        """One wave on spawned worker processes over the disk-backed store;
-        one task, and one result list, per sharing group."""
-        payloads = self._process_payloads(wave, fidelity, workers, label)
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            outcomes = list(pool.map(_evaluate_candidate_process, payloads))
-        groups = []
-        for *results, counters in outcomes:
-            for counter, value in counters.items():
-                if value:
-                    self._count(counter, value)
-            groups.append(results)
-        return groups
-
     def stats(self) -> Dict[str, Any]:
         return {
             "workers": self.workers,
-            "backend": self._backend_used,
             "evaluated": self.evaluated,
             "infeasible": self.infeasible,
             "failed": self.failed,
@@ -599,38 +503,3 @@ class Evaluator:
             "cpu": cpu.policy(),
         }
 
-
-def _evaluate_candidate_process(payload: Dict[str, Any]) -> Tuple[Any, ...]:
-    """Spawned-worker entry: evaluate one sharing group.
-
-    Returns the group's :class:`CandidateResult`\\ s in group order,
-    followed by the worker's counter dict.  Rebuilds a fresh single-use
-    :class:`Evaluator` (thread locks don't pickle) against the parent's
-    disk cache, precision settings and BLAS thread share, and shares the
-    primary's run with the group's members exactly as a thread worker
-    does, so a process-backend sweep is observationally identical to a
-    thread sweep.  :func:`cpu.enter_worker` marks the process as one pool
-    worker, so a candidate whose pipeline asks for compressor ``workers``
-    clusters with one worker instead of starting a pool per spawned
-    worker.
-    """
-    from repro.core.precision import set_compute_dtype, set_distance_block_bytes
-    from repro.explore.space import SearchSpace as _SearchSpace
-
-    set_compute_dtype(payload["compute_dtype"])
-    set_distance_block_bytes(payload["distance_block_bytes"])
-    cpu.enter_worker(payload["blas_threads"])
-    evaluator = Evaluator(_SearchSpace.from_dict(payload["space"]),
-                          cache_dir=payload["cache_dir"], workers=1,
-                          stages=payload["stages"],
-                          retries=payload["retries"],
-                          backoff_ms=payload["backoff_ms"])
-    group = [Candidate(index=int(entry["index"]),
-                       values=tuple(tuple(pair) for pair in entry["values"]),
-                       spec=entry["spec"])
-             for entry in payload["group"]]
-    results = evaluator._evaluate_group(group, payload["fidelity"],
-                                        payload["wave"])
-    counters = {name: getattr(evaluator, name) for name in
-                ("evaluated", "infeasible", "failed", "retried", "shared")}
-    return (*results, counters)

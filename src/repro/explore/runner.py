@@ -107,19 +107,16 @@ def explore(space: Union[SearchSpace, Mapping[str, Any]],
             workers: Optional[int] = None,
             stages: Optional[Sequence[str]] = None,
             retries: int = 2,
-            backoff_ms: float = 25.0,
-            backend: str = "thread") -> ExplorationResult:
+            backoff_ms: float = 25.0) -> ExplorationResult:
     """Run one design-space exploration and return its Pareto frontier.
 
     ``strategy`` / ``budget`` override the space's own settings;
     ``store`` / ``cache_dir`` wire in a (shareable, warm-able) artifact
-    cache; ``workers`` caps the evaluator's pool and ``backend`` picks its
-    worker kind (``thread`` default, ``process`` for spawned workers over a
-    disk-backed store, ``auto`` — see :class:`Evaluator`).  A candidate
-    whose evaluation raises is retried up to ``retries`` times with
-    exponential backoff (``backoff_ms`` initial), then recorded as a typed
-    failure in ``stats["errors"]`` and excluded from the frontier — the
-    sweep itself always completes.
+    cache; ``workers`` caps the evaluator's thread pool (see
+    :class:`Evaluator`).  A candidate whose evaluation raises is retried up
+    to ``retries`` times with exponential backoff (``backoff_ms`` initial),
+    then recorded as a typed failure in ``stats["errors"]`` and excluded
+    from the frontier — the sweep itself always completes.
     """
     if not isinstance(space, SearchSpace):
         space = SearchSpace.from_dict(space)
@@ -134,8 +131,7 @@ def explore(space: Union[SearchSpace, Mapping[str, Any]],
     info = get_strategy(space.strategy)
     evaluator = Evaluator(space, store=store, cache_dir=cache_dir,
                           workers=workers, stages=stages,
-                          retries=retries, backoff_ms=backoff_ms,
-                          backend=backend)
+                          retries=retries, backoff_ms=backoff_ms)
     store_before = evaluator.store.stats()
 
     start = time.perf_counter()

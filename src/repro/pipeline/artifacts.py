@@ -32,11 +32,10 @@ The write and read paths are instrumented with the
 :mod:`repro.core.faults`; an injected ``corrupt`` rule mangles the payload
 bytes exactly like a torn write would, and the digest check catches it.
 
-These multi-process guarantees are load-bearing for the explorer's
-``backend="process"`` mode: spawned evaluation workers share nothing but
-``cache_dir``, so the disk tier *is* the cross-process result channel —
-every worker's stage outputs land here and the next wave (in any process)
-reads them back as cache hits.
+The explorer's worker threads share one store in memory; the locks are
+for separate processes that share a ``cache_dir`` — two CLI runs of the
+pipeline or the explorer at once, or a run started while another one is
+still writing the warm cache.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 :class:`PipelineConfig` is the JSON/dict-loadable description of one
 compression run: a global :class:`LayerCompressionConfig` (``base``) plus an
 ordered list of per-layer-pattern overrides, the compressor runtime knobs
-(crosslayer, workers, parallel backend, ...), the stage list to execute and
+(crosslayer, workers, ...), the stage list to execute and
 the evaluation/caching sections the downstream stages read.
 
 The layer-config wire schema itself (:func:`layer_config_to_dict` /
@@ -118,7 +118,6 @@ class PipelineConfig:
     skip_layers: Tuple[str, ...] = ()
     workers: Optional[int] = None
     decorrelate_seeds: bool = False
-    parallel_backend: str = "auto"
     # -- orchestration ---------------------------------------------------------
     stages: Tuple[str, ...] = CORE_STAGES
     cache_dir: Optional[str] = None
@@ -172,7 +171,6 @@ class PipelineConfig:
             include_linear=self.include_linear,
             workers=self.workers,
             decorrelate_seeds=self.decorrelate_seeds,
-            parallel_backend=self.parallel_backend,
         )
 
     # -- (de)serialization -----------------------------------------------------
@@ -186,7 +184,6 @@ class PipelineConfig:
             "skip_layers": list(self.skip_layers),
             "workers": self.workers,
             "decorrelate_seeds": self.decorrelate_seeds,
-            "parallel_backend": self.parallel_backend,
             "stages": list(self.stages),
             "cache_dir": self.cache_dir,
             "export_path": self.export_path,
@@ -224,8 +221,7 @@ class PipelineConfig:
                 else LayerOverride(o["pattern"], dict(o.get("fields", {})))
                 for o in data["overrides"])
         for key in ("crosslayer", "include_linear", "quantize_codebook",
-                    "workers", "decorrelate_seeds", "parallel_backend",
-                    "cache_dir", "export_path"):
+                    "workers", "decorrelate_seeds", "cache_dir", "export_path"):
             if key in data:
                 kwargs[key] = data[key]
         for key in ("skip_layers", "stages"):

@@ -150,12 +150,12 @@ def _report_blas(task):
 @needs_blas
 @pytest.mark.skipif(cpu.available_cpus() < 2, reason="needs >= 2 CPUs")
 class TestWorkersInheritTheSplit:
-    def test_forked_compressor_worker(self, trained_model, monkeypatch,
+    def test_thread_compressor_worker(self, trained_model, monkeypatch,
                                       restore_blas):
         monkeypatch.setattr(compressor_mod, "_cluster_layer_task",
                             _report_blas)
         compressor = MVQCompressor(LayerCompressionConfig(k=8, d=8),
-                                   workers=2, parallel_backend="process")
+                                   workers=2)
         targets = compressor.compressible_layers(trained_model)
         prepared = compressor.prepare_layers(targets)
         reported = compressor.cluster_layerwise(targets, prepared)

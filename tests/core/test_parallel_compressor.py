@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import LayerCompressionConfig, MVQCompressor, cpu, precision
-from repro.core import compressor as compressor_mod
 
 
 def _assert_identical(a, b):
@@ -33,31 +32,21 @@ class TestParallelCompression:
         with pytest.raises(ValueError):
             MVQCompressor(LayerCompressionConfig(), workers=0)
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            MVQCompressor(LayerCompressionConfig(), parallel_backend="greenlet")
+    def test_parallel_backend_option_is_gone(self):
+        with pytest.raises(TypeError):
+            MVQCompressor(LayerCompressionConfig(), parallel_backend="thread")
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_pool_backends_bit_identical(self, backend, trained_model, monkeypatch):
-        """Both pool implementations (forced past the single-CPU cap) match
-        the sequential result exactly."""
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_thread_pool_equals_sequential(self, dtype, trained_model,
+                                           monkeypatch):
+        """The thread pool (forced past the single-CPU cap) matches the
+        sequential result exactly, also under a scoped float32 policy:
+        pool threads see the caller's policy."""
         monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
         cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=15, seed=3)
-        sequential = MVQCompressor(cfg).compress(trained_model)
-        parallel = MVQCompressor(cfg, workers=4,
-                                 parallel_backend=backend).compress(trained_model)
-        _assert_identical(sequential, parallel)
-
-    def test_process_backend_inherits_precision_scope(self, trained_model,
-                                                      monkeypatch):
-        """A scoped float32 policy must reach process-pool workers (child
-        processes only see the environment defaults otherwise)."""
-        monkeypatch.setattr(cpu, "available_cpus", lambda: 4)
-        cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=10, seed=1)
-        with precision.precision("float32"):
+        with precision.precision(dtype):
             sequential = MVQCompressor(cfg).compress(trained_model)
-            parallel = MVQCompressor(cfg, workers=4,
-                                     parallel_backend="process").compress(trained_model)
+            parallel = MVQCompressor(cfg, workers=4).compress(trained_model)
         _assert_identical(sequential, parallel)
 
     def test_workers_capped_by_available_cpus(self, monkeypatch):
@@ -74,31 +63,6 @@ class TestParallelCompression:
         monkeypatch.setattr(cpu, "available_cpus", lambda: 16)
         assert granted(10) == 8
         assert granted(3) == 3
-
-    def test_auto_backend_never_picks_process_under_spawn(self, monkeypatch):
-        """Spawned workers re-import __main__, so auto must stay on threads
-        when fork is not the start method (explicit 'process' still works)."""
-        monkeypatch.setattr(compressor_mod.multiprocessing, "get_start_method",
-                            lambda allow_none=False: "spawn")
-        big = [(np.zeros((500_000, 8)), np.ones((500_000, 8), bool),
-                LayerCompressionConfig(max_kmeans_iterations=10), 0, "float64", 1)]
-        compressor = MVQCompressor(LayerCompressionConfig(), workers=4)
-        assert compressor._choose_backend(big) == "thread"
-        forced = MVQCompressor(LayerCompressionConfig(), workers=4,
-                               parallel_backend="process")
-        assert forced._choose_backend(big) == "process"
-
-    def test_auto_backend_scales_with_work(self):
-        small = [(np.zeros((100, 8)), np.ones((100, 8), bool),
-                  LayerCompressionConfig(max_kmeans_iterations=10), 0, "float64", 1)]
-        big = [(np.zeros((500_000, 8)), np.ones((500_000, 8), bool),
-                LayerCompressionConfig(max_kmeans_iterations=10), 0, "float64", 1)]
-        compressor = MVQCompressor(LayerCompressionConfig(), workers=4)
-        assert compressor._choose_backend(small) == "thread"
-        assert compressor._choose_backend(big) == "process"
-        forced = MVQCompressor(LayerCompressionConfig(), workers=4,
-                               parallel_backend="thread")
-        assert forced._choose_backend(big) == "thread"
 
     def test_decorrelated_seeds_deterministic_and_parallel_safe(self, trained_model):
         cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=15)

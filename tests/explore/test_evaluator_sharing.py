@@ -2,7 +2,7 @@
 compress + serve_eval run and price only accel_eval.
 
 Sharing is always on, so its safety net is byte-equality with evaluating
-each candidate alone, under every strategy and backend."""
+each candidate alone, under every strategy and worker count."""
 
 import json
 
@@ -80,20 +80,6 @@ class TestSharedEqualsAlone:
                 shared += result.shared_with is not None
         assert shared >= 1, "the space must exercise sharing"
         assert evaluator.stats()["shared"] == shared
-
-    def test_process_backend_matches_solo_runs(self, tiny_space, tmp_path):
-        space = tiny_space(axes=AXES)
-        evaluator = Evaluator(space, cache_dir=str(tmp_path), workers=2,
-                              backend="process")
-        evaluator.workers = 2
-        results = evaluator.evaluate(space.grid())
-        assert evaluator.stats()["backend"] == "process"
-        assert evaluator.stats()["shared"] == 6      # 2 groups of 4
-        for result in results:
-            assert result.ok, result.error
-            assert _bytes(result) == _alone(space, result.candidate, 1.0)
-        assert [r.shared_with for r in results] == [None, 0, 0, 0,
-                                                    None, 4, 4, 4]
 
 
 class TestGroups:

@@ -123,6 +123,11 @@ class TestPipelineConfigSchema:
         with pytest.raises(ValueError, match="unknown PipelineConfig"):
             PipelineConfig.from_dict({"bsae": {}})
 
+    def test_removed_parallel_backend_key_rejected(self):
+        """The compressor runs threads only; a stale key names itself."""
+        with pytest.raises(ValueError, match="parallel_backend"):
+            PipelineConfig.from_dict({"parallel_backend": "thread"})
+
     def test_override_with_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fields"):
             LayerOverride("conv*", {"kk": 3})
