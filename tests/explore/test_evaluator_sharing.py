@@ -81,6 +81,18 @@ class TestSharedEqualsAlone:
         assert shared >= 1, "the space must exercise sharing"
         assert evaluator.stats()["shared"] == shared
 
+    def test_disk_store_wave_matches_solo_runs(self, tiny_space, tmp_path):
+        space = tiny_space(axes=AXES)
+        evaluator = Evaluator(space, cache_dir=str(tmp_path), workers=2)
+        evaluator.workers = 2
+        results = evaluator.evaluate(space.grid())
+        assert evaluator.stats()["shared"] == 6      # 2 groups of 4
+        for result in results:
+            assert result.ok, result.error
+            assert _bytes(result) == _alone(space, result.candidate, 1.0)
+        assert [r.shared_with for r in results] == [None, 0, 0, 0,
+                                                    None, 4, 4, 4]
+
 
 class TestGroups:
     def test_accel_sweep_runs_serve_eval_once(self):

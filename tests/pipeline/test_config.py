@@ -128,6 +128,13 @@ class TestPipelineConfigSchema:
         with pytest.raises(ValueError, match="parallel_backend"):
             PipelineConfig.from_dict({"parallel_backend": "thread"})
 
+    def test_workers_reach_the_compressor(self):
+        """``workers`` is the config's one parallelism knob."""
+        config = PipelineConfig.from_dict({"workers": 3})
+        assert "parallel_backend" not in config.to_dict()
+        model = Sequential(Conv2d(8, 16, 3, rng=np.random.default_rng(0)))
+        assert config.compressor_for(model).workers == 3
+
     def test_override_with_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fields"):
             LayerOverride("conv*", {"kk": 3})
