@@ -53,6 +53,9 @@ TRACKED: Dict[str, List[str]] = {
     # multi-process regressions without flaking on core count; the hard
     # >=1.3x smoke gate on >=2-CPU hosts lives in
     # bench_serving.check_sharded_report
+    # serving.lone_request_p50_ms is deliberately untracked: it is an
+    # absolute per-request time reported next to batch1_forward_ms to show
+    # the server's own overhead, not a host-independent ratio
     "serving": ["speedup_batched_vs_sequential",
                 "sharded.speedup_process_vs_thread"],
     # explore.cache_speedup is deliberately untracked: like

@@ -155,7 +155,9 @@ def main(argv=None) -> int:
           f"{serving['speedup_batched_vs_sequential']:.2f}x vs sequential "
           f"({serving['batched_sps']:.0f} req/s, "
           f"mean batch {serving['mean_batch_size']:.1f}, "
-          f"p95 {serving['latency_ms_p95']:.1f} ms)")
+          f"p95 {serving['latency_ms_p95']:.1f} ms); lone request p50 "
+          f"{serving['lone_request_p50_ms']:.2f} ms vs batch-1 forward "
+          f"{serving['batch1_forward_ms']:.2f} ms")
     sharded = serving["sharded"]
     print(f"[perf] sharded serving: {sharded['workers']} process workers "
           f"{sharded['speedup_process_vs_thread']:.2f}x thread replicas on "

@@ -5,7 +5,8 @@ End-to-end tour of ``repro.serve``:
 1. compress a scenario model through the declarative pipeline and swap in
    the decode-free compressed-domain modules (``load_scenario``);
 2. register it with a :class:`~repro.serve.server.ModelServer` under a
-   max-batch / max-wait batching policy;
+   max-batch policy (dispatch is work-conserving: an idle worker takes
+   whatever is queued now, so batches form while it is busy);
 3. fire a burst of concurrent single-image requests at it (the client-side
    fan-out the batcher coalesces);
 4. read the stats report: throughput, p50/p95 latency, and the batch-size
@@ -48,8 +49,7 @@ def main() -> None:
     # ------------------------------------------------------------- register
     server = ModelServer()
     loaded.register_with(server, policy=BatchPolicy(
-        max_batch_size=16, max_wait_ms=5.0, max_queue_size=512,
-        overload="shed"))
+        max_batch_size=16, max_queue_size=512, overload="shed"))
 
     rng = np.random.default_rng(0)
     requests = rng.standard_normal((128, *loaded.input_shape))
@@ -72,8 +72,8 @@ def main() -> None:
     print(f"\nserved {len(requests)} requests")
     print(f"  concurrent clients (coalesced) : {len(requests) / batched_s:8.0f} req/s")
     print(f"  one request in flight at a time: {len(requests) / sequential_s:8.0f} req/s"
-          f"  (each pays the {5.0:.0f} ms max-wait alone)")
-    # the apples-to-apples compute-level comparison (no server, no max-wait)
+          f"  (each runs a 1-row forward alone)")
+    # the apples-to-apples compute-level comparison (no server)
     # lives in benchmarks/perf/bench_serving.py; this gap shows why clients
     # should keep the queue full rather than serialise their requests
     print(f"  latency p50/p95  : {stats['latency_ms']['p50']:.1f} / "

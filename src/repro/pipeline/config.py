@@ -131,7 +131,8 @@ class PipelineConfig:
     #: ``accel_eval`` stage spec (workload, hardware setting, array size)
     accelerator: Dict[str, Any] = field(default_factory=dict)
     #: online-serving defaults read by ``repro.serve`` (batching policy
-    #: knobs: max_batch_size, max_wait_ms, max_queue_size, overload, ...)
+    #: knobs: max_batch_size, max_queue_size, overload, ...; max_wait_ms is
+    #: accepted but inert, as dispatch is work-conserving)
     serving: Dict[str, Any] = field(default_factory=dict)
     #: design-space-exploration spec read by ``repro.explore`` (axes,
     #: strategy, budget, objectives); the rest of this config is the sweep's

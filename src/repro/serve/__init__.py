@@ -3,8 +3,8 @@
 The serving layer over the decode-free compressed-domain engine:
 
 * :class:`~repro.serve.batcher.DynamicBatcher` — thread-safe bounded
-  request queue with max-batch-size / max-wait coalescing and an explicit
-  shed-or-block overload policy.
+  request queue with work-conserving max-batch-size dispatch and an
+  explicit shed-or-block overload policy.
 * :class:`~repro.serve.server.ModelServer` — multi-model registry with
   per-model worker pools, batch-invariant (bit-stable) batch execution and
   p50/p95 latency + throughput + batch-histogram stats.

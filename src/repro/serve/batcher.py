@@ -4,9 +4,12 @@
 Clients :meth:`~DynamicBatcher.submit` single requests and get a
 :class:`Request` handle back; a worker thread repeatedly calls
 :meth:`~DynamicBatcher.next_batch`, which blocks until work exists and then
-coalesces up to ``max_batch_size`` requests — flushing earlier once the
-*oldest* queued request has waited ``max_wait_ms`` (bounded staleness: the
-wait clock starts at enqueue, not at coalesce start).
+pops whatever is queued, FIFO and up to ``max_batch_size`` requests.
+Dispatch is work-conserving: an idle replica never holds a partial batch
+open on a timer.  Coalescing comes from the replicas being busy — requests
+that arrive while every replica is forwarding queue up and leave together
+when the next one asks — so batches stay small at low load and fill up
+under saturation.
 
 Overload is explicit: the queue is bounded by ``max_queue_size`` and the
 ``overload`` policy picks what an over-limit ``submit`` does — ``"shed"``
@@ -40,8 +43,9 @@ class BatchPolicy:
     ``max_batch_size``
         Upper bound on coalesced batch size.
     ``max_wait_ms``
-        How long the oldest queued request may wait for co-travellers
-        before the batch is flushed partially filled.
+        Accepted and validated (scenarios, the CLI and ``stats_report``
+        carry it) but inert: dispatch is work-conserving, so no request
+        waits for co-travellers while a replica is idle.
     ``max_queue_size``
         Admission bound; queue depth beyond the in-flight batch.
     ``overload``
@@ -129,7 +133,7 @@ class Request:
 
 
 class DynamicBatcher:
-    """Bounded FIFO request queue with max-batch / max-wait coalescing."""
+    """Bounded FIFO request queue with work-conserving max-batch dispatch."""
 
     def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy or BatchPolicy()
@@ -228,41 +232,24 @@ class DynamicBatcher:
 
     # -- consumer side --------------------------------------------------------
     def next_batch(self) -> Optional[List[Request]]:
-        """Block until requests exist, coalesce, and pop one FIFO batch.
+        """Block until requests exist, then pop every queued one, FIFO and
+        up to ``max_batch_size``, without waiting for more to arrive.
 
         Returns ``None`` once the batcher is closed *and* drained — the
         worker's signal to exit.  "Drained" includes retries still in their
         backoff window: a worker never exits while a requeue timer is about
-        to re-admit work.  A batch is released as soon as either
-        ``max_batch_size`` requests are queued or the oldest one has waited
-        ``max_wait_ms``.
+        to re-admit work.
         """
-        policy = self.policy
-        max_wait_s = policy.max_wait_ms / 1e3
         with self._cond:
-            while True:
-                while not self._queue:
-                    if self._closed and self._pending_retries == 0:
-                        return None
-                    self._cond.wait(0.05 if self._closed else None)
-                while len(self._queue) and not self._closed:
-                    if len(self._queue) >= policy.max_batch_size:
-                        break
-                    # anchor the flush deadline to the current oldest request
-                    # (another worker of the same pool may pop the head while
-                    # we wait, so re-read it every wake-up)
-                    deadline = self._queue[0].enqueued_at + max_wait_s
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                if not self._queue:
-                    continue  # drained by another worker; wait again
-                batch = [self._queue.popleft()
-                         for _ in range(min(policy.max_batch_size,
-                                            len(self._queue)))]
-                self._cond.notify_all()  # wake producers blocked on admission
-                return batch
+            while not self._queue:
+                if self._closed and self._pending_retries == 0:
+                    return None
+                self._cond.wait(0.05 if self._closed else None)
+            batch = [self._queue.popleft()
+                     for _ in range(min(self.policy.max_batch_size,
+                                        len(self._queue)))]
+            self._cond.notify_all()  # wake producers blocked on admission
+            return batch
 
     # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:

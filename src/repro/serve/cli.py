@@ -59,7 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "makes scenario loading near-instant)")
     batching = parser.add_argument_group("batching policy")
     batching.add_argument("--max-batch-size", type=int, default=None)
-    batching.add_argument("--max-wait-ms", type=float, default=None)
+    batching.add_argument("--max-wait-ms", type=float, default=None,
+                          help="accepted for saved configs; dispatch is "
+                               "work-conserving, so it delays nothing")
     batching.add_argument("--max-queue-size", type=int, default=None)
     batching.add_argument("--overload", choices=("shed", "block"), default=None)
     batching.add_argument("--workers", type=int, default=1,
@@ -340,7 +342,7 @@ def main(argv=None) -> int:
         report = server.stats_report()
         if telemetry_summary is not None:
             report["telemetry"] = telemetry_summary
-        for name, line in report["breakdown"].items():
+        for name, line in report["models"].items():
             lat = line["latency_ms"]
             print(f"[serve] {name}: {line['requests_completed']} requests, "
                   f"{line['throughput_rps']:.1f} req/s, latency p50 "

@@ -194,17 +194,6 @@ class StatsRegistry:
             # (dense/lut), LUT table bytes, widths
             "engines": {name: data.get("engines", {})
                         for name, data in info.items()},
-            # the per-model latency/throughput breakdown, keyed for clients
-            # that only want the headline numbers per model
-            "breakdown": {
-                name: {
-                    "requests_completed": snap["requests_completed"],
-                    "throughput_rps": snap["throughput_rps"],
-                    "latency_ms": dict(snap["latency_ms"]),
-                    "queue_wait_ms": dict(snap["queue_wait_ms"]),
-                }
-                for name, snap in models.items()
-            },
             "total_completed": sum(m["requests_completed"] for m in models.values()),
             "total_shed": sum(m["requests_shed"] for m in models.values()),
         }

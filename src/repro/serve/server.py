@@ -15,9 +15,11 @@ remaining per-call Python/layer overhead across coalesced requests, which
 is where the >=1.5x throughput over single-image serving comes from.
 
 Worker pools: a model registered with ``replicas=[m1, m2]`` gets one worker
-thread per replica, all draining the same queue.  Replicas must be
-independent model objects — the engines' caches and im2col buffers are not
-thread-safe, so a model instance is never shared between workers.
+thread per replica, all draining the same queue.  Each worker runs one batch
+at a time and takes whatever is queued when it asks (work-conserving
+dispatch), so requests coalesce only while every replica is busy.  Replicas
+must be independent model objects — the engines' caches and im2col buffers
+are not thread-safe, so a model instance is never shared between workers.
 
 Failure handling (see :mod:`repro.serve.errors` for the taxonomy) is
 governed by a per-model :class:`FaultPolicy`:
@@ -224,7 +226,7 @@ class ModelServer:
 
     >>> server = ModelServer()
     >>> server.register("resnet", model, input_shape=(3, 16, 16),
-    ...                 policy=BatchPolicy(max_batch_size=8, max_wait_ms=2.0),
+    ...                 policy=BatchPolicy(max_batch_size=8),
     ...                 fault_policy=FaultPolicy(max_retries=3,
     ...                                          deadline_ms=500.0))
     >>> with server:                      # starts workers, joins on exit

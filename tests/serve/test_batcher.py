@@ -1,4 +1,4 @@
-"""DynamicBatcher concurrency semantics: ordering, flush, shed, block."""
+"""DynamicBatcher concurrency semantics: ordering, dispatch, shed, block."""
 
 import threading
 import time
@@ -42,31 +42,48 @@ class TestCoalescing:
         assert elapsed < 1.0  # did not sit out the 10s max-wait
         assert all(h is r for h, r in zip(handles, batch))
 
-    def test_max_wait_flushes_partial_batch(self):
+    def test_lone_request_released_at_once(self):
+        # work-conserving dispatch: an idle consumer takes what is queued
+        # now, however long max_wait_ms is
         batcher = DynamicBatcher(BatchPolicy(max_batch_size=64,
-                                             max_wait_ms=30.0))
+                                             max_wait_ms=10_000.0))
         batcher.submit("a")
-        batcher.submit("b")
         start = time.perf_counter()
         batch = batcher.next_batch()
-        waited = time.perf_counter() - start
-        assert [r.payload for r in batch] == ["a", "b"]
-        # flushed by the max-wait clock: well before any 64-request batch
-        # could have formed, but not instantly either
-        assert waited < 5.0
+        assert time.perf_counter() - start < 1.0
+        assert [r.payload for r in batch] == ["a"]
 
-    def test_oldest_request_anchors_the_wait_clock(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch_size=64,
-                                             max_wait_ms=80.0))
-        batcher.submit("old")
-        time.sleep(0.05)  # the oldest request has burned most of its budget
-        batcher.submit("young")
+    def test_arrivals_while_busy_leave_as_one_fifo_batch(self):
+        batcher = DynamicBatcher(BatchPolicy(max_batch_size=4,
+                                             max_wait_ms=10_000.0))
+        release = threading.Event()
+        batches = []
+
+        def consumer():
+            while True:
+                batch = batcher.next_batch()
+                if batch is None:
+                    return
+                batches.append([r.payload for r in batch])
+                if len(batches) == 1:
+                    assert release.wait(5.0)  # busy with the first batch
+
+        thread = threading.Thread(target=consumer)
+        thread.start()
+        batcher.submit(0)
+        deadline = time.perf_counter() + 5.0
+        while not batches and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        for i in range(1, 7):  # these queue while the consumer is busy
+            batcher.submit(i)
         start = time.perf_counter()
-        batch = batcher.next_batch()
-        waited = time.perf_counter() - start
-        assert [r.payload for r in batch] == ["old", "young"]
-        # remaining budget was ~30ms, not a fresh 80ms from the second submit
-        assert waited < 0.08
+        release.set()
+        batcher.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert time.perf_counter() - start < 1.0
+        # the busy window coalesced: one full FIFO batch, then the rest
+        assert batches == [[0], [1, 2, 3, 4], [5, 6]]
 
     def test_oversize_stream_split_into_fifo_batches(self):
         batcher = DynamicBatcher(BatchPolicy(max_batch_size=3, max_wait_ms=1.0))

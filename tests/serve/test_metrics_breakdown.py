@@ -1,4 +1,4 @@
-"""p99 percentiles, the compact stats() view and the per-model breakdown."""
+"""p99 percentiles, the compact stats() view and the per-model report."""
 
 from repro.serve import ServingMetrics, StatsRegistry
 
@@ -43,9 +43,14 @@ class TestStatsView:
         _record_latencies(registry.for_model("a"), [0.002, 0.004])
         _record_latencies(registry.for_model("b"), [0.008])
         report = registry.report()
-        assert set(report["breakdown"]) == {"a", "b"}
-        assert report["breakdown"]["a"]["requests_completed"] == 2
-        assert report["breakdown"]["b"]["requests_completed"] == 1
-        for line in report["breakdown"].values():
-            assert "p99" in line["latency_ms"]
+        # the per-model headline numbers live in report["models"] (stats()
+        # is their compact view); no second per-model copy rides along
+        assert "breakdown" not in report
+        assert set(report["models"]) == {"a", "b"}
+        assert report["models"]["a"]["requests_completed"] == 2
+        assert report["models"]["b"]["requests_completed"] == 1
+        for name, snap in report["models"].items():
+            assert "p99" in snap["latency_ms"]
+            compact = registry.for_model(name).stats()
+            assert compact["requests_completed"] == snap["requests_completed"]
         assert report["total_completed"] == 3

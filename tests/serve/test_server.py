@@ -1,6 +1,7 @@
 """ModelServer: bit-equality, concurrent clients, overload, stats, lifecycle."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ class TestBitEquality:
         for i, out in results.items():
             # arbitrary coalescing across clients, identical bits per row
             assert np.array_equal(out, reference[i])
+
+
+class TestWorkConservingDispatch:
+    """An idle replica takes what is queued now: a long max-wait is inert."""
+
+    @pytest.fixture()
+    def patient(self):
+        srv = ModelServer()
+        srv.register("stack", _compressed_stack(),
+                     policy=BatchPolicy(max_batch_size=4,
+                                        max_wait_ms=10_000.0),
+                     input_shape=INPUT_SHAPE)
+        with srv:
+            yield srv
+
+    def test_lone_request_does_not_wait_out_max_wait(self, patient, rng):
+        start = time.perf_counter()
+        patient.predict("stack", rng.normal(size=INPUT_SHAPE), timeout=5.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_burst_bits_equal_library_batched(self, patient, rng):
+        # 10 rows over max_batch_size=4: at least one batch leaves partial
+        x = rng.normal(size=(10, *INPUT_SHAPE))
+        start = time.perf_counter()
+        out = patient.predict_many("stack", x, timeout=5.0)
+        assert time.perf_counter() - start < 1.0
+        reference = predict_batched(_compressed_stack(), x, batch_size=4)
+        assert np.array_equal(out, reference)
 
 
 class TestRegistryAndValidation:
@@ -216,26 +245,46 @@ class TestLifecycle:
         with pytest.raises(ServerClosed):
             server.submit("stack", rng.normal(size=INPUT_SHAPE))
 
-    def test_no_drain_shutdown_with_live_workers_is_deterministic(self, rng):
+    def test_no_drain_shutdown_with_live_workers_is_deterministic(
+            self, rng, monkeypatch):
+        model = _compressed_stack()
         srv = ModelServer()
-        # a batch larger than the burst + a long max-wait: the worker is
-        # still coalescing when shutdown lands, so the whole burst is
-        # deterministically queued (not in flight) at that moment
-        srv.register("m", _compressed_stack(),
-                     policy=BatchPolicy(max_batch_size=32,
-                                        max_wait_ms=10_000.0,
-                                        max_queue_size=64),
+        srv.register("m", model,
+                     policy=BatchPolicy(max_batch_size=32, max_queue_size=64),
                      input_shape=INPUT_SHAPE)
+        # the only worker is held inside the forward of a first request, so
+        # the burst behind it is deterministically queued (not in flight)
+        # when shutdown lands
+        entered, release = threading.Event(), threading.Event()
+        forward = model.forward
+
+        def gated(batch):
+            entered.set()
+            assert release.wait(10.0)
+            return forward(batch)
+
+        monkeypatch.setattr(model, "forward", gated)
         srv.start()
+        in_flight = srv.submit("m", rng.normal(size=INPUT_SHAPE))
+        assert entered.wait(5.0)
         handles = [srv.submit("m", rng.normal(size=INPUT_SHAPE))
                    for _ in range(10)]
-        srv.shutdown(drain=False)
-        # every request resolves promptly with ServerClosed — whichever of
-        # the woken worker or shutdown's own drain loop pops it, neither
-        # executes it — and nothing hangs for the 10s max-wait
-        for handle in handles:
-            with pytest.raises(ServerClosed):
-                handle.result(5.0)
+        closer = threading.Thread(target=srv.shutdown,
+                                  kwargs={"drain": False})
+        closer.start()
+        try:
+            # every queued request resolves promptly with ServerClosed —
+            # whichever of the woken worker or shutdown's own drain loop
+            # pops it, neither executes it — while the worker is still busy
+            for handle in handles:
+                with pytest.raises(ServerClosed):
+                    handle.result(5.0)
+        finally:
+            release.set()
+            closer.join(10.0)
+        assert not closer.is_alive()
+        # the batch the worker had already popped still completes
+        assert in_flight.result(5.0).shape == (8, *INPUT_SHAPE[1:])
 
     def test_shutdown_without_drain_fails_pending(self, rng):
         srv = ModelServer()

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -88,6 +89,28 @@ class TestBitExactness:
         # forward reproduces the coalesced bits
         assert shipped == [1]
         assert np.array_equal(solo, coalesced[2])
+
+    def test_long_max_wait_is_inert(self, compressed_pair, pool, requests):
+        # work-conserving dispatch: an idle process worker takes what is
+        # queued now, so neither a lone request nor a burst's partial
+        # batch sits out the 10 s max-wait
+        _, thread_replica = compressed_pair
+        server = ModelServer()
+        pool.register_with(server, "tiny",
+                           policy=BatchPolicy(max_batch_size=4,
+                                              max_wait_ms=10_000.0))
+        burst = requests[:10]
+        with server:
+            start = time.perf_counter()
+            server.predict("tiny", requests[0], timeout=5.0)
+            lone_s = time.perf_counter() - start
+            start = time.perf_counter()
+            out = server.predict_many("tiny", burst, timeout=5.0)
+            burst_s = time.perf_counter() - start
+        assert lone_s < 1.0
+        assert burst_s < 1.0
+        reference = predict_batched(thread_replica, burst, batch_size=4)
+        assert np.array_equal(out, reference)
 
     def test_direct_forward_matches_reference(self, compressed_pair, pool,
                                               requests):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads import WorkloadSpec, WorkloadSpecError
 from repro.workloads.specs import BUILTIN_SPECS
@@ -132,6 +133,83 @@ class TestSerialization:
         path = tmp_path / "tb.json"
         spec.save(path)
         assert WorkloadSpec.from_file(path) == spec
+
+
+_OPTIONAL_TEXT = st.one_of(st.none(), st.text(min_size=1, max_size=6))
+_MAPPING = st.dictionaries(st.sampled_from(["dataflow", "tile"]),
+                           st.one_of(st.integers(1, 64),
+                                     st.sampled_from(["ws", "ews"])),
+                           max_size=2)
+
+
+@st.composite
+def _conv_linear_specs(draw):
+    """Valid chains of conv layers, then flatten + linear layers (or a pure
+    linear stack), with every optional layer field drawn."""
+    layers = []
+
+    def node(name, op, dims, **extra):
+        layer = {"name": name, "op": op, "dims": dims,
+                 "bias": draw(st.booleans())}
+        if draw(st.booleans()):
+            layer["precision"] = draw(st.integers(1, 16))
+        mapping = draw(_MAPPING)
+        if mapping:
+            layer["mapping"] = mapping
+        layer.update({k: v for k, v in extra.items() if v is not None})
+        layers.append(layer)
+
+    if draw(st.booleans()):
+        channels = draw(st.integers(1, 6))
+        h, w = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+        input_shape = (channels, h, w)
+        for i in range(draw(st.integers(1, 3))):
+            stride = draw(st.integers(1, 2))
+            padding = draw(st.one_of(st.none(), st.integers(0, 2)))
+            fits = min(h, w) + 2 * (1 if padding is None else padding) >= 3
+            k = draw(st.sampled_from([1, 3] if fits else [1]))
+            cout = draw(st.integers(1, 8))
+            dims = {"in_channels": channels, "out_channels": cout,
+                    "kernel_size": k}
+            if stride != 1:
+                dims["stride"] = stride
+            if padding is not None:
+                dims["padding"] = padding
+            pad = k // 2 if padding is None else padding
+            h = (h + 2 * pad - k) // stride + 1
+            w = (w + 2 * pad - k) // stride + 1
+            node(f"conv{i}", "conv", dims,
+                 norm=draw(st.sampled_from([None, "batch"])),
+                 act=draw(st.sampled_from([None, "relu", "relu6"])),
+                 save_as=draw(st.sampled_from([None, f"t{i}"])))
+            channels = cout
+        layers.append({"name": "flat", "op": "flatten"})
+        features = channels * h * w
+    else:
+        features = draw(st.integers(1, 32))
+        input_shape = (features,)
+    for i in range(draw(st.integers(0 if layers else 1, 2))):
+        out = draw(st.integers(1, 16))
+        node(f"fc{i}", "linear", {"in_features": features,
+                                  "out_features": out},
+             act=draw(st.sampled_from([None, "relu"])))
+        features = out
+    description = draw(st.text(max_size=12))
+    meta = draw(st.dictionaries(st.text(min_size=1, max_size=4),
+                                st.one_of(st.integers(), _OPTIONAL_TEXT),
+                                max_size=2))
+    return WorkloadSpec(name=draw(st.text(min_size=1, max_size=8)),
+                        input_shape=input_shape, layers=layers,
+                        description=description, meta=meta)
+
+
+class TestJsonRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_conv_linear_specs())
+    def test_generated_spec_survives_json(self, spec):
+        again = WorkloadSpec.from_json(spec.to_json())
+        assert again.to_dict() == spec.to_dict()
+        assert again == spec
 
 
 class TestLowering:
