@@ -1,4 +1,4 @@
-"""Clustering throughput: optimised masked k-means vs the frozen seed path.
+"""Clustering throughput: masked k-means under both compute precisions.
 
 The headline workload is the acceptance-criteria one: 16384 subvectors of
 d=8 under a 2:8 mask with k=256 codewords, a ResNet-scale layer.  Every
@@ -17,7 +17,6 @@ from typing import Dict
 
 import numpy as np
 
-from benchmarks.perf._legacy import legacy_masked_kmeans
 from benchmarks.perf._timing import best_of
 from repro.core import precision
 from repro.core.kmeans import kmeans
@@ -25,8 +24,8 @@ from repro.core.masked_kmeans import masked_kmeans
 from repro.core.pruning import nm_prune_mask
 
 FULL = dict(n=16384, d=8, k=256, n_keep=2, m=8, iterations=15, repeats=3)
-# large enough (and best-of-3) that the speedup-vs-legacy ratios are stable
-# on a loaded CI runner — the perf-regression gate compares against them
+# best-of-3: compare_perf times masked_fp64_s / masked_fp32_s against the
+# parent commit
 SMOKE = dict(n=4096, d=8, k=64, n_keep=2, m=8, iterations=5, repeats=3)
 #: the default distance block budget before it was cut to 1 MiB
 FIXED_64MIB_BLOCK_BYTES = 64 << 20
@@ -53,8 +52,6 @@ def run(smoke: bool = False) -> Dict[str, object]:
                                   **kwargs),
             repeats)
 
-    legacy_s = best_of(
-        lambda: legacy_masked_kmeans(data, mask, k, iters, init), repeats)
     masked_fp64_s = timed_masked()
     with precision.precision("float32"):
         masked_fp32_s = timed_masked()
@@ -74,7 +71,6 @@ def run(smoke: bool = False) -> Dict[str, object]:
     return {
         "workload": {key: p[key] for key in ("n", "d", "k", "n_keep", "m", "iterations")},
         "block_bytes": precision.distance_block_bytes(),
-        "legacy_masked_fp64_s": legacy_s,
         "masked_fp64_s": masked_fp64_s,
         "masked_fp32_s": masked_fp32_s,
         "masked_fp64_chunked_1MiB_s": chunked_s,
@@ -82,8 +78,6 @@ def run(smoke: bool = False) -> Dict[str, object]:
         "masked_minibatch_s": minibatch_s,
         "masked_kmeanspp_s": kpp_s,
         "plain_fp64_s": plain_fp64_s,
-        "speedup_fp64_vs_legacy": legacy_s / masked_fp64_s,
-        "speedup_fp32_vs_legacy": legacy_s / masked_fp32_s,
         "assignments_per_s_fp64": subvectors / masked_fp64_s,
         "assignments_per_s_fp32": subvectors / masked_fp32_s,
     }

@@ -7,7 +7,6 @@ from typing import Dict
 
 import numpy as np
 
-from benchmarks.perf._legacy import legacy_conv2d_forward, legacy_im2col
 from benchmarks.perf._timing import best_of
 from repro.core import precision
 from repro.nn import functional as F
@@ -36,13 +35,8 @@ def _run_dtype(p: Dict[str, int], dtype: str) -> Dict[str, float]:
         fwd_s = best_of(lambda: F.conv2d_forward(x, w, b, 1, pad), p["repeats"])
         bwd_s = best_of(
             lambda: F.conv2d_backward(grad, cols, x.shape, w, 1, pad), p["repeats"])
-        # im2col path comparison: sliding_window_view vs the seed tap loop
-        legacy_fwd_s = best_of(
-            lambda: legacy_conv2d_forward(x, w, b, 1, pad), p["repeats"])
         im2col_s = best_of(
             lambda: F.im2col(x, (p["kernel"], p["kernel"]), 1, pad), p["repeats"])
-        legacy_im2col_s = best_of(
-            lambda: legacy_im2col(x, (p["kernel"], p["kernel"]), 1, pad), p["repeats"])
 
     flops = _conv_flops(p["n"], p["c_in"], p["c_out"], p["hw"], p["kernel"])
     return {
@@ -51,12 +45,7 @@ def _run_dtype(p: Dict[str, int], dtype: str) -> Dict[str, float]:
         "forward_gflops": flops / fwd_s / 1e9,
         # backward does roughly 2x the forward work (grad_w + grad_x GEMMs)
         "backward_gflops": 2.0 * flops / bwd_s / 1e9,
-        # conv GFLOP/s delta attributable to the sliding-window im2col
-        "forward_gflops_loop_im2col": flops / legacy_fwd_s / 1e9,
-        "forward_gflops_im2col_delta": flops / fwd_s / 1e9 - flops / legacy_fwd_s / 1e9,
         "im2col_s": im2col_s,
-        "im2col_loop_s": legacy_im2col_s,
-        "im2col_speedup": legacy_im2col_s / im2col_s,
     }
 
 

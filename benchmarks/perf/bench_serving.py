@@ -533,9 +533,9 @@ def main(argv=None) -> int:
     errors = check_report(report)
     if chaos:
         fault_report = run_fault_mode(smoke=quick)
-        # nested under the serving section; compare_perf deliberately does
-        # NOT track fault-mode ratios (retry/backoff sleeps dominate the
-        # wall time, making them far too noisy to gate on)
+        # nested under the serving section; compare_perf does not time
+        # fault mode (retry/backoff sleeps dominate the wall time, making
+        # it far too noisy to gate on)
         report["fault_mode"] = fault_report
         print(f"[perf] serving under {FAULT_RATE:.0%} faults: "
               f"{fault_report['throughput_rps']:.0f} req/s, "

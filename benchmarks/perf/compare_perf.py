@@ -1,168 +1,222 @@
-"""Perf-regression gate: compare a fresh perf report against the baseline.
+"""Perf-regression gate: the parent commit is the reference.
 
 Usage::
 
-    PYTHONPATH=src python -m benchmarks.perf.compare_perf \
-        --baseline BENCH_perf.json --current BENCH_perf_smoke.json
+    python -m benchmarks.perf.compare_perf --parent HEAD~1 [--tolerance 0.2]
 
-The tracked metrics are deliberately *scale-free ratios* (speedups), so
-they are meaningful on any host; absolute wall times are never gated on.
-Each tracked metric must stay within ``--tolerance`` (default 20%) of the
-baseline value, or the gate exits non-zero.
+Run from a checkout; the working tree is the *change* side.  The gate
+checks ``--parent`` out as a detached ``git worktree`` in a temporary
+directory, which is removed again on every exit path, and times both sides
+on the same host in the same job.  Both run this checkout's
+``benchmarks/perf`` harness (``run_perf --smoke``), each against its own
+``src/``.  One warm-up run per side is thrown away; then :data:`PAIRS`
+pairs follow, alternating which side goes first.
 
-Mode awareness: smoke-mode workloads are tiny, so their ratios differ from
-full-mode ones — and are noisy.  A full-mode ``BENCH_perf.json`` written by
-``run_perf --smoke-report s1.json s2.json ...`` embeds a ``tracked_smoke``
-map holding the elementwise *minimum* of the tracked metrics over those
-smoke runs (a conservative floor); when the current report's mode differs
-from the baseline's, the gate compares against that map instead of the
-full-mode numbers, and a baseline without the map fails the gate closed.
+Every tracked metric is an absolute time of the code under test, lower is
+better.  A metric regresses when the median of its per-pair ratios
+(change / parent) is above ``1 + tolerance`` **and** the change is slower
+in at least :data:`MIN_SLOWER_PAIRS` of the pairs: one slow pair (a cold
+page, a scheduler hiccup) cannot turn the gate red, and a steady slowdown
+cannot hide behind one fast pair.  A tracked metric missing from the
+change's reports, or a side that crashes without writing a report, fails
+the gate closed; a metric the parent does not report yet is shown but not
+gated.
+
+The hard gates (bit identity, chaos resolution, the LUT error bound, the
+disabled-span budget and the benchmarks' own ratio floors) stay in the
+benchmark scripts; this gate only answers "is the change slower than its
+parent?".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-if __package__ in (None, ""):  # running as a plain script
-    _root = Path(__file__).resolve().parents[2]
-    for entry in (_root, _root / "src"):
-        if str(entry) not in sys.path:
-            sys.path.insert(0, str(entry))
+import numpy as np
 
-#: section -> dotted metric paths; every entry is a higher-is-better ratio
-#: with real headroom over run-to-run noise.  (pipeline.warm_speedup is
-#: deliberately absent: in smoke mode it is a ratio of two ~50 ms wall
-#: times, and cache-hit correctness is already hard-gated by
-#: bench_pipeline.check_report and the pipeline-smoke CI job.)
-TRACKED: Dict[str, List[str]] = {
-    "clustering": ["speedup_fp64_vs_legacy", "speedup_fp32_vs_legacy"],
-    "inference": ["speedup_compressed_vs_reconstruct",
-                  "systolic_stream.stream_speedup_vs_scalar"],
-    # serving.fault_mode.* is deliberately untracked: under injected faults
-    # the wall time is dominated by retry backoffs and re-warm sleeps, so
-    # its throughput/p95 are noise; resolution correctness (no hangs,
-    # bit-exact successes) is hard-gated by bench_serving.check_fault_report
-    # in the chaos-smoke CI job instead
-    # serving.sharded.speedup_process_vs_thread IS tracked: the committed
-    # baseline floor comes from whatever host wrote it (possibly 1-CPU,
-    # where the ratio sits near 1.0), so the 20% tolerance gates real
-    # multi-process regressions without flaking on core count; the hard
-    # >=1.3x smoke gate on >=2-CPU hosts lives in
-    # bench_serving.check_sharded_report
-    # serving.lone_request_p50_ms is deliberately untracked: it is an
-    # absolute per-request time reported next to batch1_forward_ms to show
-    # the server's own overhead, not a host-independent ratio
-    "serving": ["speedup_batched_vs_sequential",
-                "sharded.speedup_process_vs_thread"],
-    # explore.cache_speedup is deliberately untracked: like
-    # pipeline.warm_speedup it is a ratio of two sub-second smoke wall
-    # times, and cache-hit correctness is already hard-gated by
-    # bench_explore.check_report and the explore-smoke CI job
-    "explore": ["speedup_parallel_vs_sequential"],
-    # enabled/disabled span cost: a regression that bloats the disabled
-    # fast path (the telemetry.disabled_overhead guarantee) shrinks this
-    # ratio; the absolute ns budget is hard-gated by
-    # bench_telemetry.check_report
-    "telemetry": ["overhead_ratio_on_vs_off"],
-}
+#: dotted report paths of the tracked metrics: seconds, lower is better
+TRACKED: Tuple[str, ...] = (
+    "clustering.masked_fp64_s",
+    "clustering.masked_fp32_s",
+    "inference.compressed_auto_s",
+    "inference.compressed_lut_s",
+    "inference.systolic_stream.stream_s",
+    "serving.batched_s",
+    "serving.sharded.process_s",
+    "explore.parallel_seconds",
+)
+#: timed parent/change pairs after the warm-up runs
+PAIRS = 5
+#: a regression must also be slower in at least this many pairs
+MIN_SLOWER_PAIRS = 4
+#: host fields the report prints and compares between the sides
+FINGERPRINT = ("cpus", "machine", "python", "numpy", "blas_name",
+               "blas_version", "blas_threads")
+
+Run = Dict[str, float]
 
 
-def _resolve(section: Dict[str, Any], dotted: str) -> Optional[float]:
-    value: Any = section
-    for part in dotted.split("."):
-        if not isinstance(value, dict) or part not in value:
-            return None
-        value = value[part]
-    return float(value)
-
-
-def tracked_metrics(report: Dict[str, Any]) -> Dict[str, float]:
-    """Flat ``section.metric.path -> value`` map of a report's tracked ratios."""
-    flat: Dict[str, float] = {}
-    for section, paths in TRACKED.items():
-        data = report.get(section)
-        if not isinstance(data, dict):
-            continue
-        for dotted in paths:
-            value = _resolve(data, dotted)
-            if value is not None:
-                flat[f"{section}.{dotted}"] = value
+def tracked_metrics(report: Dict[str, Any]) -> Run:
+    """``dotted path -> value`` of the tracked metrics a report has."""
+    flat: Run = {}
+    for dotted in TRACKED:
+        value: Any = report
+        for part in dotted.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        if value is not None:
+            flat[dotted] = float(value)
     return flat
 
 
-def compare(baseline: Dict[str, Any], current: Dict[str, Any],
-            tolerance: float = 0.2,
-            sections: Optional[Sequence[str]] = None) -> List[str]:
-    """Regression errors (empty when the gate passes); prints a summary.
+def judge(parent: Sequence[Run], change: Sequence[Run],
+          tolerance: float = 0.2) -> Tuple[List[str], List[str]]:
+    """``(report lines, errors)`` of the paired rule; no errors = green.
 
-    ``sections`` restricts the comparison to those top-level report
-    sections (e.g. ``["serving", "telemetry"]``) — for CI jobs that only
-    regenerate part of the suite; a metric outside the listed sections is
-    neither required of ``current`` nor gated.
+    ``parent[i]`` and ``change[i]`` are the tracked metrics of pair ``i``.
     """
-    current_tracked = tracked_metrics(current)
-    if baseline.get("mode") == current.get("mode"):
-        baseline_tracked = tracked_metrics(baseline)
-        source = f"baseline ({baseline.get('mode')} mode)"
-    else:
-        baseline_tracked = baseline.get("tracked_smoke") or {}
-        source = "baseline's embedded tracked_smoke map"
-        if not baseline_tracked:
-            # fail closed: a gate that silently has nothing to compare is
-            # worse than a red build (regenerate the baseline with
-            # `run_perf --smoke-report ...` to restore the map)
-            return [f"mode mismatch ({baseline.get('mode')} baseline vs "
-                    f"{current.get('mode')} current) and the baseline has no "
-                    "tracked_smoke map — regenerate BENCH_perf.json with "
-                    "run_perf --smoke-report so the gate has a floor"]
-
+    lines: List[str] = []
     errors: List[str] = []
-    for key in sorted(set(current_tracked) | set(baseline_tracked)):
-        if sections is not None and key.split(".", 1)[0] not in sections:
+    for metric in TRACKED:
+        new = [run.get(metric) for run in change]
+        old = [run.get(metric) for run in parent]
+        if None in new:
+            errors.append(f"{metric} missing from {new.count(None)} of "
+                          f"{len(new)} change reports")
             continue
-        have = current_tracked.get(key)
-        want = baseline_tracked.get(key)
-        if want is None:
-            print(f"[compare] {key}: {have:.3f} (new metric, no baseline)")
+        if None in old:
+            lines.append(f"{metric}: change median "
+                         f"{np.median(new) * 1e3:.3f} ms; the parent does "
+                         "not report it, not gated")
             continue
-        if have is None:
-            errors.append(f"tracked metric {key} missing from the current report")
-            continue
-        floor = want * (1.0 - tolerance)
-        status = "ok" if have >= floor else "REGRESSION"
-        print(f"[compare] {key}: {have:.3f} vs {want:.3f} "
-              f"(floor {floor:.3f}) {status}")
-        if have < floor:
+        ratios = [c / p if p > 0 else (np.inf if c > 0 else 1.0)
+                  for c, p in zip(new, old)]
+        q1, ratio, q3 = np.percentile(ratios, [25, 50, 75])
+        slower = sum(c > p for c, p in zip(new, old))
+        regressed = ratio > 1 + tolerance and slower >= MIN_SLOWER_PAIRS
+        lines.append(
+            f"{metric}: parent {np.median(old) * 1e3:.3f} ms, change "
+            f"{np.median(new) * 1e3:.3f} ms, change/parent {ratio:.3f} "
+            f"(IQR {q1:.3f}-{q3:.3f}), slower in {slower}/{len(ratios)} "
+            f"{'REGRESSION' if regressed else 'ok'}")
+        if regressed:
             errors.append(
-                f"{key} regressed {100 * (1 - have / want):.1f}%: "
-                f"{have:.3f} < {floor:.3f} (baseline {want:.3f} from {source})")
+                f"{metric} is {100 * (ratio - 1):.0f}% slower than the "
+                f"parent (median of {len(ratios)} pairs, slower in "
+                f"{slower}; limit {100 * tolerance:.0f}% and "
+                f"{MIN_SLOWER_PAIRS} pairs)")
+    return lines, errors
+
+
+def _git(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                          text=True)
+
+
+def run_side(root: Path, harness: Path, output: Path) -> Optional[dict]:
+    """One ``run_perf --smoke`` of ``root``'s ``src/`` under ``harness``'s
+    benchmarks; its report, or ``None`` if it wrote none."""
+    output.unlink(missing_ok=True)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(harness)]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "benchmarks.perf.run_perf", "--smoke",
+         "--output", str(output)],
+        cwd=output.parent, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        # a hard gate inside run_perf (its own CI step enforces those) or
+        # a crash; either way show why
+        print(proc.stderr.strip()[-2000:], file=sys.stderr)
+    try:
+        return json.loads(output.read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def _fingerprint_lines(parent: dict, change: dict) -> List[str]:
+    old = parent.get("host", {})
+    new = change.get("host", {})
+    lines = ["host: " + ", ".join(f"{key}={new.get(key)}"
+                                  for key in FINGERPRINT)]
+    lines += [f"parent fingerprint differs: {key}={old[key]} vs {new[key]}"
+              for key in FINGERPRINT
+              if key in old and key in new and old[key] != new[key]]
+    return lines
+
+
+def compare(change_root: Path, parent_root: Path, work: Path,
+            tolerance: float) -> List[str]:
+    """Run the warm-up and the pairs; returns the gate's errors."""
+    roots = {"parent": parent_root, "change": change_root}
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    order = ["warm-up"] + [f"pair {i + 1}" for i in range(PAIRS)]
+    for index, label in enumerate(order):
+        for side in (("parent", "change") if index % 2 == 0
+                     else ("change", "parent")):
+            report = run_side(roots[side], change_root, work / f"{side}.json")
+            if report is None:
+                return [f"the {side} side ({roots[side]}) crashed without "
+                        f"writing a report ({label})"]
+            if label != "warm-up":
+                runs[side].append(report)
+            print(f"[compare] {label}: {side} done", flush=True)
+    for line in _fingerprint_lines(runs["parent"][0], runs["change"][0]):
+        print(f"[compare] {line}")
+    lines, errors = judge([tracked_metrics(r) for r in runs["parent"]],
+                          [tracked_metrics(r) for r in runs["change"]],
+                          tolerance)
+    for line in lines:
+        print(f"[compare] {line}")
     return errors
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default="BENCH_perf.json",
-                        help="committed perf report to gate against")
-    parser.add_argument("--current", required=True,
-                        help="freshly generated perf report")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", required=True,
+                        help="git revision the working tree is timed "
+                             "against (e.g. HEAD~1)")
     parser.add_argument("--tolerance", type=float, default=0.2,
-                        help="allowed fractional regression (default 0.2)")
-    parser.add_argument("--sections", default=None,
-                        help="comma-separated report sections to gate "
-                             "(default: all tracked sections)")
+                        help="allowed median slowdown (default 0.2)")
     args = parser.parse_args(argv)
 
-    baseline = json.loads(Path(args.baseline).read_text())
-    current = json.loads(Path(args.current).read_text())
-    sections = args.sections.split(",") if args.sections else None
-    errors = compare(baseline, current, tolerance=args.tolerance,
-                     sections=sections)
+    top = _git(Path.cwd(), "rev-parse", "--show-toplevel")
+    if top.returncode:
+        print(f"[compare] ERROR: {top.stderr.strip()}", file=sys.stderr)
+        return 2
+    change_root = Path(top.stdout.strip())
+    try:
+        with tempfile.TemporaryDirectory(prefix="compare_perf-") as tmp:
+            parent_root = Path(tmp) / "parent"
+            added = _git(change_root, "worktree", "add", "--detach",
+                         str(parent_root), args.parent)
+            if added.returncode:
+                print(f"[compare] ERROR: cannot check out --parent "
+                      f"{args.parent}: {added.stderr.strip()}",
+                      file=sys.stderr)
+                return 2
+            print(f"[compare] parent {args.parent} "
+                  f"({_git(parent_root, 'rev-parse', 'HEAD').stdout.strip()})"
+                  f" vs working tree {change_root}", flush=True)
+            try:
+                errors = compare(change_root, parent_root, Path(tmp),
+                                 args.tolerance)
+            finally:
+                _git(change_root, "worktree", "remove", "--force",
+                     str(parent_root))
+    finally:
+        _git(change_root, "worktree", "prune")
     for error in errors:
         print(f"[compare] ERROR: {error}", file=sys.stderr)
+    if not errors:
+        print(f"[compare] ok: no tracked metric is slower than the parent "
+              f"beyond {100 * args.tolerance:.0f}%")
     return 1 if errors else 0
 
 

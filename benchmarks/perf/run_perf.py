@@ -4,15 +4,17 @@ Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.run_perf [--smoke] [--output PATH]
 
-``--smoke`` shrinks every workload so the suite finishes in a few seconds
-(used by CI); the full run produces the numbers quoted in PR descriptions.
+``--smoke`` shrinks every workload so the suite finishes in a few seconds;
+:mod:`benchmarks.perf.compare_perf` times it on a change and its parent.
+The full run produces the numbers quoted in PR descriptions, and the
+committed ``BENCH_perf.json`` records them as history.  The report's
+``host`` section is :func:`repro.core.cpu.policy`, the host fingerprint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -23,8 +25,6 @@ if __package__ in (None, ""):  # running as a plain script
         if str(entry) not in sys.path:
             sys.path.insert(0, str(entry))
 
-import numpy as np
-
 from benchmarks.perf import (
     bench_clustering,
     bench_conv,
@@ -34,29 +34,8 @@ from benchmarks.perf import (
     bench_pipeline,
     bench_serving,
     bench_telemetry,
-    compare_perf,
 )
 from repro.core import cpu
-
-
-def tracked_smoke_floor(paths) -> dict:
-    """Elementwise minimum of the tracked metrics over smoke reports.
-
-    The minimum — not the mean — is what gets committed as the gate's
-    floor: smoke workloads are tiny and their ratios noisy, so a
-    conservative floor over several runs is what keeps the 20% tolerance
-    meaningful instead of flaky.  Raises ``ValueError`` for a non-smoke
-    report so a mixed-up path fails before any benchmark runs.
-    """
-    floor: dict = {}
-    for path in paths:
-        smoke = json.loads(Path(path).read_text())
-        if smoke.get("mode") != "smoke":
-            raise ValueError(f"{path} is not a smoke-mode report "
-                             f"(mode={smoke.get('mode')!r})")
-        for key, value in compare_perf.tracked_metrics(smoke).items():
-            floor[key] = min(value, floor.get(key, value))
-    return floor
 
 
 def main(argv=None) -> int:
@@ -67,26 +46,7 @@ def main(argv=None) -> int:
                         action="store_true",
                         help="tiny workloads for CI smoke coverage "
                              "(--quick is an alias)")
-    parser.add_argument("--smoke-report", nargs="+", default=None,
-                        metavar="PATH",
-                        help="smoke-mode report(s) whose tracked metrics get "
-                             "embedded as tracked_smoke (lets compare_perf "
-                             "gate CI smoke runs against a committed "
-                             "full-mode baseline).  With several reports the "
-                             "elementwise MINIMUM is embedded — a "
-                             "conservative floor that absorbs the "
-                             "run-to-run noise of tiny smoke workloads")
     args = parser.parse_args(argv)
-
-    # validate the smoke reports up front: a typo'd path or wrong-mode file
-    # must fail in milliseconds, not after the whole suite has run
-    tracked_smoke = None
-    if args.smoke_report:
-        try:
-            tracked_smoke = tracked_smoke_floor(args.smoke_report)
-        except (OSError, ValueError) as error:
-            print(f"[perf] ERROR: --smoke-report: {error}", file=sys.stderr)
-            return 1
 
     suites = (
         ("clustering", bench_clustering.run),
@@ -104,33 +64,25 @@ def main(argv=None) -> int:
         "schema": 1,
         "mode": "smoke" if args.smoke else "full",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
     }
     for name, runner in suites:
         start = time.perf_counter()
         report[name] = runner(smoke=args.smoke)
         print(f"[perf] {name}: done in {time.perf_counter() - start:.2f}s",
               flush=True)
-    # the CPU budget the pools ran under, read after they ran so
-    # granted_workers is populated
-    report["host"] = {"cpu": cpu.policy()}
-
-    # the regression gate's scale-free ratios, flattened for easy diffing;
-    # --smoke-report additionally embeds the same metrics from smoke runs
-    # so CI smoke jobs can gate against this (full-mode) baseline
-    report["tracked"] = compare_perf.tracked_metrics(report)
-    if tracked_smoke is not None:
-        report["tracked_smoke"] = tracked_smoke
+    # the host fingerprint and the CPU budget the pools ran under, read
+    # after they ran so granted_workers is populated
+    host = report["host"] = cpu.policy()
 
     out = Path(args.output)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"[perf] wrote {out}")
 
+    print("[perf] host: " + ", ".join(f"{key}={value}"
+                                      for key, value in host.items()))
     cluster = report["clustering"]
-    print(f"[perf] masked k-means speedup vs seed: "
-          f"fp64 {cluster['speedup_fp64_vs_legacy']:.2f}x, "
-          f"fp32 {cluster['speedup_fp32_vs_legacy']:.2f}x")
+    print(f"[perf] masked k-means: fp64 {cluster['masked_fp64_s'] * 1e3:.2f} "
+          f"ms, fp32 {cluster['masked_fp32_s'] * 1e3:.2f} ms")
     e2e = report["end_to_end"]
     if not e2e["parallel_matches_sequential"]:
         print("[perf] ERROR: parallel compression diverged from sequential",
@@ -139,9 +91,11 @@ def main(argv=None) -> int:
 
     inference = report["inference"]
     stream = inference["systolic_stream"]
-    print(f"[perf] compressed-domain forward: "
+    print(f"[perf] cached dense forward: "
           f"{inference['speedup_compressed_vs_reconstruct']:.2f}x vs "
-          f"dense-reconstruct-then-conv (LUT max err "
+          f"re-decoding every weight on every call; lut/dense "
+          f"{inference['compressed_lut_s'] / inference['compressed_auto_s']:.2f}x"
+          f" (LUT max err "
           f"{inference['lut_max_abs_error_vs_baseline']:.2e}); "
           f"systolic stream "
           f"{stream['stream_speedup_vs_scalar']:.1f}x vs scalar tile loop")
@@ -176,8 +130,7 @@ def main(argv=None) -> int:
     print(f"[perf] telemetry: disabled span point "
           f"{tele['disabled_ns_per_span']:.0f} ns "
           f"(budget {tele['disabled_budget_ns']:.0f} ns), enabled "
-          f"{tele['enabled_ns_per_span']:.0f} ns, on/off ratio "
-          f"{tele['overhead_ratio_on_vs_off']:.1f}x")
+          f"{tele['enabled_ns_per_span']:.0f} ns")
 
     errors = bench_inference.check_report(inference)
     errors += bench_pipeline.check_report(pipeline)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 from repro.accelerator.config import HardwareSetting, standard_setting
 from repro.accelerator.performance import PerformanceModel
 from repro.accelerator.area import AreaModel
-from repro.accelerator.workloads import get_workload
 
 
 #: Dynamic-energy scaling factors relative to 40 nm (derived from the
@@ -88,7 +87,9 @@ def mvq_rows(array_sizes=(16, 32, 64), workload: str = "resnet18",
     """
     performance = PerformanceModel()
     area_model = AreaModel()
-    layers = get_workload(workload)()
+    from repro.workloads import shape_factory
+
+    layers = shape_factory(workload)()
     rows = []
     for size in array_sizes:
         config = standard_setting(HardwareSetting.EWS_CMS, array_size=size)

@@ -192,22 +192,6 @@ WORKLOADS: Dict[str, Callable[[], List[LayerShape]]] = {
 }
 
 
-def get_workload(name: str) -> Callable[[], List[LayerShape]]:
-    """Workload layer-table factory by name — deprecation shim over the
-    unified registry (the pipeline's ``accel_eval`` stage resolves scenario
-    workloads through this).
-
-    New code should use :func:`repro.workloads.shape_factory`, which also
-    resolves schema-backed tables (``transformer_block``,
-    ``simple_detector``, ``deeplab_lite``, registered JSON specs).  The
-    names in :data:`WORKLOADS` return the *same* factory objects as before,
-    so outputs are bit-identical.
-    """
-    from repro.workloads.registry import shape_factory
-
-    return shape_factory(name)
-
-
 def network_macs(layers: List[LayerShape]) -> int:
     return sum(layer.macs for layer in layers)
 

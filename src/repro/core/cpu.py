@@ -16,7 +16,8 @@ setting, so every pool splits the cores the same way:
   :func:`enter_worker` on start-up; that also holds the budget for the
   worker's life, so a pool started inside a worker gets a single worker.
 * :func:`policy` — the resolved setting, stamped into reports, with the
-  k-means distance block budget (:mod:`repro.core.precision`).
+  k-means distance block budget (:mod:`repro.core.precision`) and the
+  host fingerprint (BLAS build, numpy, python, machine).
 
 Sequential callers (one worker) never touch BLAS: a lone worker is
 fastest with the library's own multi-threading.  BLAS threads are set at
@@ -30,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import platform
 import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -173,18 +175,36 @@ def worker_blas_threads(workers: int) -> Optional[int]:
     return _split(workers)[1]
 
 
+def _blas_build() -> Tuple[Optional[str], Optional[str]]:
+    """``(name, version)`` of the BLAS numpy was built against, from its
+    build config (``None`` where numpy does not report it)."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return None, None
+    return info.get("name"), info.get("version")
+
+
 def policy() -> Dict[str, Any]:
-    """The resolved CPU policy, JSON-able, for reports.
+    """The resolved CPU policy and host fingerprint, JSON-able, for reports.
 
     ``blas_default_threads`` is the library's count when first looked up;
     ``granted_workers`` is the grant of the latest outermost region
     (``None`` before the first).  ``distance_block_bytes`` is the current
     k-means distance block budget and ``distance_block_source`` where it
-    came from (``default``, ``env`` or ``override``).
+    came from (``default``, ``env`` or ``override``).  ``blas_name``,
+    ``blas_version``, ``numpy``, ``python`` and ``machine`` say what the
+    numbers were measured on.
     """
     blas = _blas()
+    blas_name, blas_version = _blas_build()
     return {
         "cpus": available_cpus(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_name": blas_name,
+        "blas_version": blas_version,
         "blas_symbol": blas[0] if blas is not None else None,
         "blas_default_threads": blas[3] if blas is not None else None,
         "blas_threads": blas_threads(),

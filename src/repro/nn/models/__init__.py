@@ -30,23 +30,8 @@ MODEL_ZOO: Dict[str, Callable] = {
 }
 
 
-def get_model_factory(name: str) -> Callable:
-    """Model factory by name — deprecation shim over the unified registry.
-
-    New code should use :func:`repro.workloads.model_factory`, which also
-    resolves spec-backed workloads (``transformer_block``, the stress
-    shapes, user-registered JSON specs).  Zoo names return the *same*
-    factory objects as before — the registry is seeded from
-    :data:`MODEL_ZOO`, so outputs are bit-identical.
-    """
-    from repro.workloads.registry import model_factory
-
-    return model_factory(name)
-
-
 __all__ = [
     "MODEL_ZOO",
-    "get_model_factory",
     "ResNet",
     "BasicBlock",
     "Bottleneck",

@@ -421,7 +421,7 @@ def stage_accel_eval(ctx: StageContext) -> None:
     from repro.accelerator.comparison import mvq_rows
     from repro.accelerator.config import HardwareSetting, config_from_spec
     from repro.accelerator.performance import PerformanceModel
-    from repro.accelerator.workloads import get_workload
+    from repro.workloads import shape_factory
 
     spec = ctx.section("accelerator")
     workload_name = spec.get("workload", ctx.workload)
@@ -447,7 +447,7 @@ def stage_accel_eval(ctx: StageContext) -> None:
         except ValueError:
             pass       # replace() raised before rebinding: hw is unchanged
 
-    layers = get_workload(workload_name)()
+    layers = shape_factory(workload_name)()
     model = PerformanceModel()
     perf = model.evaluate(layers, hw, skip_depthwise=bool(spec.get("skip_depthwise", False)))
     efficiency = model.efficiency(layers, hw)

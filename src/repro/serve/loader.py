@@ -342,10 +342,10 @@ def load_npz(path: str, model: str, mode: Optional[str] = None,
     from the zoo build).
     """
     from repro.core.serialization import load_compressed_model
-    from repro.nn.models import get_model_factory
+    from repro.workloads import model_factory
 
     kwargs = dict(model_kwargs or {})
-    factory = get_model_factory(model)
+    factory = model_factory(model)
     verify_npz(path)
     if mode is None:
         mode = "auto"

@@ -79,9 +79,9 @@ def _build_architecture(builder: Tuple) -> Module:
     """
     kind = builder[0]
     if kind == "zoo":
-        from repro.nn.models import get_model_factory
+        from repro.workloads import model_factory
 
-        return get_model_factory(builder[1])(**(builder[2] or {}))
+        return model_factory(builder[1])(**(builder[2] or {}))
     if kind == "scenario":
         from repro.pipeline.scenarios import get_scenario
 

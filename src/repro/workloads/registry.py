@@ -7,9 +7,9 @@ tables in :data:`repro.accelerator.workloads.WORKLOADS`.  Here both become
 views of one :class:`WorkloadEntry` table:
 
 * zoo entries contribute their ``model_factory`` (the *same* callable
-  object, so the ``get_model_factory`` deprecation shim is bit-identical);
-* accelerator entries contribute their ``shape_factory`` (ditto for
-  ``get_workload``);
+  object as the zoo's, so a zoo name builds bit-identical models);
+* accelerator entries contribute their ``shape_factory`` (again the same
+  object as in :data:`~repro.accelerator.workloads.WORKLOADS`);
 * spec-backed entries (:mod:`repro.workloads.specs`, or any JSON file a
   user registers) derive *both* from one :class:`WorkloadSpec`.
 
@@ -152,8 +152,7 @@ def get_entry(name: str) -> WorkloadEntry:
 
 
 def model_factory(name: str) -> Callable[..., Any]:
-    """Executable model factory of a registered workload (the
-    ``get_model_factory`` shim resolves here)."""
+    """Executable model factory of a registered workload."""
     entry = get_entry(name)
     if entry.model_factory is None:
         raise KeyError(
@@ -163,8 +162,7 @@ def model_factory(name: str) -> Callable[..., Any]:
 
 
 def shape_factory(name: str) -> Callable[[], List[Any]]:
-    """Accelerator layer-table factory of a registered workload (the
-    ``get_workload`` shim resolves here)."""
+    """Accelerator layer-table factory of a registered workload."""
     entry = get_entry(name)
     if entry.shape_factory is None:
         raise KeyError(

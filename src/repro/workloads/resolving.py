@@ -1,6 +1,6 @@
 """The one registry-lookup helper every named registry resolves through.
 
-Before this module existed, ``get_model_factory``, ``get_workload``, the
+Before this module existed, the model zoo, the accelerator tables, the
 scenario registry and the explore space/strategy registries each hand-rolled
 the same ``KeyError``-with-available-names pattern with slightly different
 wording.  :func:`resolve` is that pattern, once: a mapping lookup whose

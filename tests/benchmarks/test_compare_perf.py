@@ -1,114 +1,118 @@
-"""The perf-regression gate's comparison logic (pure functions, no timing)."""
+"""The perf-regression gate's paired rule (pure functions, no timing) and
+its worktree handling on a throwaway repository."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from benchmarks.perf.compare_perf import TRACKED, compare, tracked_metrics
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from benchmarks.perf.compare_perf import (MIN_SLOWER_PAIRS, PAIRS, TRACKED,
+                                          judge, tracked_metrics)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _report(mode: str, serving_speedup: float = 1.8,
-            fp64: float = 4.0) -> dict:
-    return {
-        "mode": mode,
-        "clustering": {"speedup_fp64_vs_legacy": fp64,
-                       "speedup_fp32_vs_legacy": 10.0},
-        "inference": {"speedup_compressed_vs_reconstruct": 2.5,
-                      "systolic_stream": {"stream_speedup_vs_scalar": 80.0}},
-        "serving": {"speedup_batched_vs_sequential": serving_speedup},
-    }
+def _runs(scale=1.0, pairs=PAIRS):
+    """``pairs`` tracked-metric maps, times ``scale`` x a fixed base."""
+    return [{metric: scale * (0.01 + 0.001 * i)
+             for i, metric in enumerate(TRACKED)} for _ in range(pairs)]
 
 
 class TestTrackedMetrics:
     def test_flattens_dotted_paths(self):
-        flat = tracked_metrics(_report("full"))
-        assert flat["inference.systolic_stream.stream_speedup_vs_scalar"] == 80.0
-        assert flat["serving.speedup_batched_vs_sequential"] == 1.8
+        report = {"inference": {"compressed_auto_s": 0.5,
+                                "systolic_stream": {"stream_s": 0.25}},
+                  "serving": {"sharded": {"process_s": 2.0}}}
+        assert tracked_metrics(report) == {
+            "inference.compressed_auto_s": 0.5,
+            "inference.systolic_stream.stream_s": 0.25,
+            "serving.sharded.process_s": 2.0}
 
     def test_missing_sections_are_skipped(self):
-        assert tracked_metrics({"mode": "full"}) == {}
+        assert tracked_metrics({"mode": "smoke"}) == {}
 
-    def test_every_tracked_path_resolves_in_the_committed_baseline(self):
-        import json
-        from pathlib import Path
-
-        baseline = json.loads(
-            (Path(__file__).resolve().parents[2] / "BENCH_perf.json").read_text())
-        flat = tracked_metrics(baseline)
-        expected = {f"{s}.{p}" for s, paths in TRACKED.items() for p in paths}
-        assert set(flat) == expected
-        # CI smoke runs gate against the embedded conservative floor
-        assert set(baseline["tracked_smoke"]) == expected
-        assert baseline["tracked"] == flat
-
-
-class TestCompare:
-    def test_same_mode_within_tolerance_passes(self, capsys):
-        assert compare(_report("full"), _report("full")) == []
-        assert "ok" in capsys.readouterr().out
-
-    def test_regression_beyond_tolerance_fails(self):
-        errors = compare(_report("full", serving_speedup=2.0),
-                         _report("full", serving_speedup=1.5))
-        assert len(errors) == 1
-        assert "serving.speedup_batched_vs_sequential" in errors[0]
-
-    def test_tolerance_is_configurable(self):
-        baseline = _report("full", serving_speedup=2.0)
-        current = _report("full", serving_speedup=1.5)
-        assert compare(baseline, current, tolerance=0.3) == []
-
-    def test_mode_mismatch_uses_embedded_smoke_floor(self):
-        baseline = _report("full", serving_speedup=5.0)
-        baseline["tracked_smoke"] = tracked_metrics(_report("smoke"))
-        current = _report("smoke", serving_speedup=1.7)
-        # vs the full-mode 5.0 this would fail; vs the smoke floor it passes
-        assert compare(baseline, current) == []
-
-    def test_mode_mismatch_without_smoke_floor_fails_closed(self):
-        errors = compare(_report("full"), _report("smoke"))
-        assert len(errors) == 1
-        assert "tracked_smoke" in errors[0]
-
-    def test_metric_missing_from_current_is_an_error(self):
-        current = _report("full")
-        del current["serving"]
-        errors = compare(_report("full"), current)
-        assert any("missing from the current report" in e for e in errors)
-
-    def test_new_metric_without_baseline_is_informational(self, capsys):
-        baseline = _report("full")
-        del baseline["serving"]
-        assert compare(baseline, _report("full")) == []
-        assert "no baseline" in capsys.readouterr().out
-
-
-class TestTrackedSmokeFloor:
-    def test_min_floor_over_multiple_smoke_reports(self, tmp_path):
+    def test_every_tracked_path_resolves_in_the_committed_history(self):
         import json
 
-        from benchmarks.perf.run_perf import tracked_smoke_floor
+        report = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
+        assert set(tracked_metrics(report)) == set(TRACKED)
 
-        paths = []
-        for i, speedup in enumerate((1.9, 1.6, 1.8)):
-            path = tmp_path / f"s{i}.json"
-            path.write_text(json.dumps(_report("smoke", serving_speedup=speedup,
-                                               fp64=4.0 + i)))
-            paths.append(str(path))
-        floor = tracked_smoke_floor(paths)
-        assert floor["serving.speedup_batched_vs_sequential"] == 1.6
-        assert floor["clustering.speedup_fp64_vs_legacy"] == 4.0
 
-    def test_non_smoke_report_rejected_up_front(self, tmp_path):
-        import json
+class TestPairedRule:
+    def test_identical_sides_pass(self):
+        lines, errors = judge(_runs(), _runs())
+        assert errors == []
+        assert len(lines) == len(TRACKED)
+        assert all(line.endswith(" ok") for line in lines)
 
-        from benchmarks.perf.run_perf import tracked_smoke_floor
+    def test_thirty_percent_slower_in_every_pair_fails(self):
+        _, errors = judge(_runs(), _runs(scale=1.3))
+        assert len(errors) == len(TRACKED)
+        assert "serving.batched_s is 30% slower" in "\n".join(errors)
 
-        path = tmp_path / "full.json"
-        path.write_text(json.dumps(_report("full")))
-        with pytest.raises(ValueError, match="not a smoke-mode report"):
-            tracked_smoke_floor([str(path)])
+    def test_one_slow_outlier_pair_passes(self):
+        change = _runs()
+        change[2] = {metric: 30 * value for metric, value in change[2].items()}
+        assert judge(_runs(), change)[1] == []
 
-    def test_missing_file_raises_before_any_benchmark(self, tmp_path):
-        from benchmarks.perf.run_perf import tracked_smoke_floor
+    def test_slower_in_too_few_pairs_passes(self):
+        # three of five pairs far slower: the median is over the tolerance
+        # but the sign rule needs MIN_SLOWER_PAIRS
+        change = _runs()
+        for index in range(MIN_SLOWER_PAIRS - 1):
+            change[index] = {m: 2 * v for m, v in change[index].items()}
+        assert judge(_runs(), change)[1] == []
 
-        with pytest.raises(OSError):
-            tracked_smoke_floor([str(tmp_path / "nope.json")])
+    def test_tolerance_is_the_median_bound(self):
+        assert judge(_runs(), _runs(scale=1.3), tolerance=0.35)[1] == []
+
+    def test_missing_on_the_change_side_fails_closed(self):
+        change = _runs()
+        del change[0]["explore.parallel_seconds"]
+        _, errors = judge(_runs(), change)
+        assert errors == ["explore.parallel_seconds missing from 1 of 5 "
+                          "change reports"]
+
+    def test_missing_on_the_parent_side_is_informational(self):
+        parent = [{m: v for m, v in run.items()
+                   if m != "serving.batched_s"} for run in _runs()]
+        lines, errors = judge(parent, _runs(scale=5.0))
+        assert [e for e in errors if "serving.batched_s" in e] == []
+        assert any("serving.batched_s" in line and "not gated" in line
+                   for line in lines)
+
+    @settings(max_examples=60, deadline=None)
+    @given(times=st.lists(st.floats(1e-6, 10.0), min_size=PAIRS,
+                          max_size=PAIRS),
+           scale=st.floats(1e-3, 1.0))
+    def test_a_uniformly_faster_change_never_fails(self, times, scale):
+        parent = [{metric: t for metric in TRACKED} for t in times]
+        change = [{metric: scale * t for metric in TRACKED} for t in times]
+        assert judge(parent, change)[1] == []
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_unknown_parent_exits_with_gits_message_and_leaves_no_worktree(
+        tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "file.txt").write_text("x\n")
+    _git(tmp_path, "add", "file.txt")
+    _git(tmp_path, "-c", "user.name=t", "-c", "user.email=t@example.com",
+         "commit", "-q", "-m", "one")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT))
+    proc = subprocess.run(
+        [sys.executable, "-m", "benchmarks.perf.compare_perf",
+         "--parent", "no-such-rev"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "no-such-rev" in proc.stderr
+    assert "fatal:" in proc.stderr          # git's own message
+    worktrees = _git(tmp_path, "worktree", "list", "--porcelain")
+    assert worktrees.count("worktree ") == 1

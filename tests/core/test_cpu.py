@@ -43,6 +43,27 @@ class TestBlasThreads:
         assert policy["blas_default_threads"] >= 1
 
 
+def test_policy_fingerprints_the_host():
+    import platform
+
+    policy = cpu.policy()
+    assert policy["numpy"] == np.__version__
+    assert policy["python"] == platform.python_version()
+    assert policy["machine"] == platform.machine()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert policy["blas_name"] == blas["name"]
+    assert policy["blas_version"] == blas["version"]
+
+
+def test_policy_without_a_build_config_reports_none(monkeypatch):
+    def show_config():  # numpy < 1.26: no mode argument
+        pass
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    policy = cpu.policy()
+    assert policy["blas_name"] is None and policy["blas_version"] is None
+
+
 def test_policy_reports_the_distance_block_budget():
     policy = cpu.policy()
     assert policy["distance_block_bytes"] == precision.distance_block_bytes()

@@ -105,7 +105,7 @@ class TestLoadNpz:
     def test_npz_roundtrip_matches_scenario_serving(self, tmp_path, rng):
         from repro.core.serialization import save_compressed_model
         from repro.nn.compressed import swap_to_compressed
-        from repro.nn.models import get_model_factory
+        from repro.workloads import model_factory
         from repro.pipeline.config import CORE_STAGES
         from repro.pipeline.scenarios import run_scenario
 
@@ -118,7 +118,7 @@ class TestLoadNpz:
                           name="from-npz")
         assert loaded.meta["source"] == "npz"
 
-        reference_model = get_model_factory("resnet18")(num_classes=5, seed=1)
+        reference_model = model_factory("resnet18")(num_classes=5, seed=1)
         from repro.core.serialization import load_compressed_model
         compressed = load_compressed_model(reference_model, str(path))
         swap_to_compressed(reference_model, compressed)

@@ -1,12 +1,13 @@
-"""Unified workload registry + bit-identical deprecation shims."""
+"""Unified workload registry: zoo and accelerator names resolve to the
+same factory objects as their raw tables."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.accelerator.workloads import WORKLOADS, get_workload
-from repro.nn.models import MODEL_ZOO, get_model_factory
+from repro.accelerator.workloads import WORKLOADS
+from repro.nn.models import MODEL_ZOO
 from repro.workloads import (WorkloadEntry, WorkloadSpec, get_entry,
                              list_entries, model_factory, register,
                              register_spec, resolve, shape_factory,
@@ -22,31 +23,31 @@ class TestResolve:
             resolve({"b": 2, "a": 1}, "c", "thing")
 
 
-class TestShims:
+class TestRawTables:
     @pytest.mark.parametrize("name", sorted(MODEL_ZOO))
-    def test_model_shim_returns_the_same_object(self, name):
-        assert get_model_factory(name) is MODEL_ZOO[name]
+    def test_zoo_name_resolves_to_the_same_object(self, name):
+        assert model_factory(name) is MODEL_ZOO[name]
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_workload_shim_returns_the_same_object(self, name):
-        assert get_workload(name) is WORKLOADS[name]
+    def test_accelerator_name_resolves_to_the_same_object(self, name):
+        assert shape_factory(name) is WORKLOADS[name]
 
-    def test_model_shim_output_is_bit_identical(self):
-        a = get_model_factory("resnet18")(num_classes=5, seed=1)
+    def test_zoo_model_output_is_bit_identical(self):
+        a = model_factory("resnet18")(num_classes=5, seed=1)
         b = MODEL_ZOO["resnet18"](num_classes=5, seed=1)
         sd_a, sd_b = a.state_dict(), b.state_dict()
         assert sd_a.keys() == sd_b.keys()
         for key in sd_a:
             assert np.array_equal(sd_a[key], sd_b[key])
 
-    def test_workload_shim_output_is_bit_identical(self):
-        assert get_workload("alexnet")() == WORKLOADS["alexnet"]()
+    def test_accelerator_table_is_bit_identical(self):
+        assert shape_factory("alexnet")() == WORKLOADS["alexnet"]()
 
-    def test_shim_unknown_name(self):
+    def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown workload"):
-            get_model_factory("resnet1234")
+            model_factory("resnet1234")
         with pytest.raises(KeyError, match="unknown workload"):
-            get_workload("resnet1234")
+            shape_factory("resnet1234")
 
 
 class TestRegistry:
@@ -102,7 +103,7 @@ class TestRegistry:
         register_spec(spec, source="user", overwrite=True)
         model = model_factory("user-spec-test")(seed=0)
         assert model.forward(np.zeros((2, 16))).shape == (2, 4)
-        assert get_workload("user-spec-test")() == spec.layer_shapes()
+        assert shape_factory("user-spec-test")() == spec.layer_shapes()
 
     def test_list_entries_sorted(self):
         names = [e.name for e in list_entries()]
